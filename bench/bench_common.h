@@ -210,7 +210,6 @@ appendThreadedReport(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("batches", r.batches);
     w.kv("extensions", r.extensions);
     w.kv("reruns", r.reruns);
-    w.kv("device_cycles", r.device_cycles);
 }
 
 /** The hand-off telemetry of the batch ring / slab pool / reorder
@@ -225,7 +224,6 @@ appendThreadingDetail(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("producer_cpu_seconds", r.producer_cpu_seconds);
     w.kv("consumer_cpu_seconds", r.consumer_cpu_seconds);
     w.kv("device_emulation_cpu_seconds", r.device_emulation_cpu_seconds);
-    w.kv("device_occupancy_seconds", r.device_occupancy_seconds);
     w.key("queue").beginObject();
     w.kv("publishes", r.queue.publishes);
     w.kv("claims", r.queue.claims);

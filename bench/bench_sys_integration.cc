@@ -49,6 +49,7 @@ main(int argc, char **argv)
         cfg.seeding_threads = s;
         cfg.fpga_threads = f;
         cfg.batch_size = 32;
+        cfg.pipeline.engine = EngineKind::SeedEx;
         ThreadedReport report;
         // Each sweep point replays the same reads; keep only the last
         // configuration's records so the exported JSONL covers exactly

@@ -85,9 +85,9 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
     const uint64_t ref_len = reference.size();
 
     // Both flanks are bounded by the read length plus the window slack;
-    // sizing the thread's workspace here keeps single-threaded pipeline
-    // runs allocation-free in steady state (the threaded driver also
-    // pre-sizes per worker, making this a capacity no-op there).
+    // sizing the thread's workspace here keeps both pipelines (the
+    // Aligner and every threaded consumer) allocation-free in steady
+    // state.
     DpWorkspace::tls().prepareExtension(
         oriented_read.size(),
         oriented_read.size() + static_cast<size_t>(params.window_slack));

@@ -59,7 +59,7 @@ alignerProfiles()
 }
 
 /** Engine decorator that captures every extension job for the device
- *  model (the FPGA threads' batching path, §V-B). */
+ *  model (the Fig. 16-18 benches replay captured jobs through it). */
 class CapturingEngine : public ExtensionEngine
 {
   public:
@@ -71,9 +71,9 @@ class CapturingEngine : public ExtensionEngine
     ExtendResult
     extend(const Sequence &query, const Sequence &target, int h0) override
     {
+        ++calls_;
         // Forward the active hint so captured jobs carry the same
-        // band-prediction signals the inner engine sees (the threaded
-        // pipeline replays captured jobs through the device model).
+        // band-prediction signals the inner engine sees.
         const BandHint hint = hint_ != nullptr ? *hint_ : BandHint{};
         if (sink_)
             sink_->push_back({query, target, h0, hint});
@@ -86,6 +86,8 @@ class CapturingEngine : public ExtensionEngine
     ExtensionEngine &inner_;
     std::vector<ExtensionJob> *sink_;
 };
+
+} // namespace
 
 std::unique_ptr<ExtensionEngine>
 makeEngine(const PipelineConfig &config)
@@ -111,7 +113,78 @@ makeEngine(const PipelineConfig &config)
     return nullptr;
 }
 
-} // namespace
+ReadAlignment
+alignChains(const std::string &name, const Sequence &read,
+            const Sequence &rc, const std::vector<Chain> &chains,
+            size_t n_chains, uint32_t n_seeds, const Sequence &reference,
+            ExtensionEngine &engine, const PipelineConfig &config,
+            StageTimes *times)
+{
+    ReadAlignment out;
+    Stopwatch extension_watch, other_watch;
+    int chain_chosen = -1;
+    if (n_chains == 0) {
+        other_watch.start();
+        out.record = unmappedRecord(name, read);
+        other_watch.stop();
+    } else {
+        // --- Seed extension through the configured engine. Result
+        //     storage is recycled per thread.
+        thread_local std::vector<ChainAlignment> results;
+        {
+            obs::TraceSpan span("aligner.extension", "aligner");
+            obs::PerfScope perf(alignerProfiles().extension);
+            extension_watch.start();
+            results.clear();
+            const uint64_t calls_before = engine.calls();
+            for (size_t c = 0; c < n_chains; ++c) {
+                const Chain &chain = chains[c];
+                results.push_back(extendChain(chain,
+                                              chain.reverse ? rc : read,
+                                              reference, engine,
+                                              config.extension));
+            }
+            out.extensions = engine.calls() - calls_before;
+            extension_watch.stop();
+        }
+
+        // --- Pick best + runner-up, traceback, SAM.
+        obs::TraceSpan span("aligner.postprocess", "aligner");
+        obs::PerfScope perf(alignerProfiles().postprocess);
+        other_watch.start();
+        size_t best = 0;
+        int sub = 0;
+        for (size_t i = 1; i < results.size(); ++i) {
+            if (results[i].score > results[best].score) {
+                sub = results[best].score;
+                best = i;
+            } else {
+                sub = std::max(sub, results[i].score);
+            }
+        }
+        out.record = buildSamRecord(name, read, results[best], sub,
+                                    reference, config.extension.scoring,
+                                    config.contigs);
+        chain_chosen = static_cast<int>(best);
+        other_watch.stop();
+    }
+
+    if (obs::ReadRecord *rec = obs::Ledger::active()) {
+        rec->seeds = n_seeds;
+        rec->band = config.engine == EngineKind::FullBand ? -1 : config.band;
+        rec->kernel = kernelIsaName(kernelDispatch());
+        rec->chains = static_cast<uint32_t>(n_chains);
+        rec->chain_chosen = chain_chosen;
+        rec->extensions = static_cast<uint32_t>(out.extensions);
+        rec->score = out.record.score;
+        rec->mapped = out.record.mapped();
+    }
+    if (times) {
+        times->extension += extension_watch.seconds();
+        times->other += other_watch.seconds();
+    }
+    return out;
+}
 
 Aligner::Aligner(const Sequence &reference, PipelineConfig config)
     : Aligner(reference, std::move(config), nullptr)
@@ -145,24 +218,18 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
                      PipelineStats *stats,
                      std::vector<ExtensionJob> *capture)
 {
-    Stopwatch seeding_watch, extension_watch, other_watch;
-    uint64_t read_extensions = 0;
-
-    // Provenance ledger: one record per read when enabled; lower layers
-    // (filter funnel, extend kernel) attribute onto it via the open
-    // thread-local scope.
+    // Provenance ledger: one record per read when enabled; alignChains
+    // and the lower layers (filter funnel, extend kernel) attribute onto
+    // it via the open thread-local scope.
     obs::ReadScope ledger_scope(name);
-    if (obs::ReadRecord *rec = ledger_scope.record()) {
-        rec->seeds = static_cast<uint32_t>(seeds.size());
-        rec->band =
-            config_.engine == EngineKind::FullBand ? -1 : config_.band;
-        rec->kernel = kernelIsaName(kernelDispatch());
-    }
 
     // --- Chaining (charged to the "seeding" bar of Fig. 17 together
-    //     with the SMEM/locate time handed in by the caller). Chain
-    //     storage is recycled per thread: steady state allocates nothing.
+    //     with the SMEM/locate time handed in by the caller). Chain and
+    //     reverse-complement storage is recycled per thread: steady
+    //     state allocates nothing.
     thread_local std::vector<Chain> chains;
+    thread_local Sequence rc;
+    Stopwatch seeding_watch;
     size_t n_chains = 0;
     {
         obs::TraceSpan span("aligner.seeding", "aligner");
@@ -172,70 +239,25 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
                                   ChainWorkspace::tls(), chains);
         seeding_watch.stop();
     }
+    if (n_chains != 0)
+        read.reverseComplementInto(rc);
 
-    SamRecord rec;
-    int chain_chosen = -1;
-    if (n_chains == 0) {
-        other_watch.start();
-        rec = unmappedRecord(name, read);
-        other_watch.stop();
-    } else {
-        // --- Seed extension through the configured engine.
-        obs::TraceSpan span("aligner.extension", "aligner");
-        obs::PerfScope perf(alignerProfiles().extension);
-        extension_watch.start();
-        CapturingEngine engine(*engine_, capture);
-        const Sequence rc = read.reverseComplement();
-        std::vector<ChainAlignment> results;
-        results.reserve(n_chains);
-        const uint64_t calls_before = engine_->calls();
-        for (size_t c = 0; c < n_chains; ++c) {
-            const Chain &chain = chains[c];
-            const Sequence &oriented = chain.reverse ? rc : read;
-            results.push_back(extendChain(chain, oriented, ref_, engine,
-                                          config_.extension));
-        }
-        extension_watch.stop();
-        read_extensions = engine_->calls() - calls_before;
-
-        // --- Pick best + runner-up, traceback, SAM.
-        obs::TraceSpan other_span("aligner.postprocess", "aligner");
-        obs::PerfScope other_perf(alignerProfiles().postprocess);
-        other_watch.start();
-        size_t best = 0;
-        int sub = 0;
-        for (size_t i = 1; i < results.size(); ++i) {
-            if (results[i].score > results[best].score) {
-                sub = results[best].score;
-                best = i;
-            } else {
-                sub = std::max(sub, results[i].score);
-            }
-        }
-        rec = buildSamRecord(name, read, results[best], sub, ref_,
-                             config_.extension.scoring, config_.contigs);
-        chain_chosen = static_cast<int>(best);
-        other_watch.stop();
-
-        if (stats)
-            stats->extensions += read_extensions;
-    }
-
-    if (obs::ReadRecord *ledger_rec = ledger_scope.record()) {
-        ledger_rec->chains = static_cast<uint32_t>(n_chains);
-        ledger_rec->chain_chosen = chain_chosen;
-        ledger_rec->extensions = static_cast<uint32_t>(read_extensions);
-        ledger_rec->score = rec.score;
-        ledger_rec->mapped = rec.mapped();
-    }
+    CapturingEngine engine(*engine_, capture);
+    StageTimes times;
+    ReadAlignment aln =
+        alignChains(name, read, rc, chains, n_chains,
+                    static_cast<uint32_t>(seeds.size()), ref_, engine,
+                    config_, &times);
+    const SamRecord &rec = aln.record;
 
     const double seeding_seconds = seed_seconds + seeding_watch.seconds();
     if (stats) {
         ++stats->reads;
         stats->unmapped += !rec.mapped();
+        stats->extensions += aln.extensions;
         stats->times.seeding += seeding_seconds;
-        stats->times.extension += extension_watch.seconds();
-        stats->times.other += other_watch.seconds();
+        stats->times.extension += times.extension;
+        stats->times.other += times.other;
         if (auto *sx = dynamic_cast<SeedExEngine *>(engine_.get()))
             stats->filter = sx->stats();
     }
@@ -244,18 +266,18 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
     m.reads.inc();
     if (!rec.mapped())
         m.unmapped.inc();
-    if (read_extensions)
-        m.extensions.inc(read_extensions);
+    if (aln.extensions)
+        m.extensions.inc(aln.extensions);
     m.seeding.observe(seeding_seconds);
     if (n_chains != 0)
-        m.extension.observe(extension_watch.seconds());
-    m.other.observe(other_watch.seconds());
+        m.extension.observe(times.extension);
+    m.other.observe(times.other);
     SEEDEX_LOG(Trace, "aligner",
                "read %s: %zu chains, %llu extensions, mapped=%d",
                name.c_str(), n_chains,
-               static_cast<unsigned long long>(read_extensions),
+               static_cast<unsigned long long>(aln.extensions),
                rec.mapped() ? 1 : 0);
-    return rec;
+    return std::move(aln.record);
 }
 
 std::vector<SamRecord>

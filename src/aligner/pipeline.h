@@ -63,6 +63,37 @@ struct PipelineStats
     FilterStats filter;
 };
 
+/** Build the extension engine `config` selects. The single-threaded
+ *  Aligner and every threaded consumer build their engines here, so both
+ *  pipelines run the same extension code. */
+std::unique_ptr<ExtensionEngine> makeEngine(const PipelineConfig &config);
+
+/** One read aligned by alignChains(). */
+struct ReadAlignment
+{
+    SamRecord record;
+    /** Engine extensions run for the read's chains. */
+    uint64_t extensions = 0;
+};
+
+/**
+ * The per-read body both pipelines share (the Aligner is its N=1 caller;
+ * each threaded consumer calls it once per read): extend each of the
+ * first `n_chains` chains with extendChain() through `engine`, keep the
+ * best score and the runner-up, and build the SAM record. `rc` is the
+ * read's reverse complement, read only for reverse-strand chains. The
+ * read's provenance (seeds, chains, chosen chain, extensions, score) is
+ * written to the ledger record open on this thread, if any; `times`
+ * (nullable) accumulates the extension and post-processing seconds.
+ */
+ReadAlignment alignChains(const std::string &name, const Sequence &read,
+                          const Sequence &rc,
+                          const std::vector<Chain> &chains, size_t n_chains,
+                          uint32_t n_seeds, const Sequence &reference,
+                          ExtensionEngine &engine,
+                          const PipelineConfig &config,
+                          StageTimes *times = nullptr);
+
 /**
  * The single-end mini-aligner (the BWA-MEM stand-in of DESIGN.md §1):
  * FMD-index seeding, chaining, two-sided banded extension through a

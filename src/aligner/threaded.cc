@@ -4,11 +4,10 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include "align/kernel.h"
-#include "align/workspace.h"
 #include "aligner/batch_ring.h"
 #include "obs/ledger.h"
 #include "obs/log.h"
@@ -63,20 +62,6 @@ threadedProfiles()
     return profiles;
 }
 
-/** One pending extension of a chain (left or right side). */
-struct PendingExtension
-{
-    size_t batch_slot = 0; ///< index into the batch's chain table
-    ExtensionJob job;
-};
-
-Sequence
-reversedSeq(const Sequence &s)
-{
-    std::vector<Base> b(s.bases().rbegin(), s.bases().rend());
-    return Sequence(std::move(b));
-}
-
 /** Positive integer environment knob; `fallback` when unset/garbage. */
 long
 envLong(const char *name, long fallback)
@@ -94,17 +79,19 @@ envLong(const char *name, long fallback)
 } // namespace
 
 void
+ThreadedConfig::setTotalThreads(long total)
+{
+    seeding_threads = static_cast<int>(std::max<long>(1, (total * 3) / 4));
+    fpga_threads =
+        static_cast<int>(std::max<long>(1, total - seeding_threads));
+}
+
+void
 ThreadedConfig::applyEnv()
 {
     const long threads = envLong("SEEDEX_THREADS", 0);
-    if (threads > 0) {
-        // The paper's 3:1 split (most threads seed; a few drive the
-        // device), with at least one thread on each side.
-        seeding_threads =
-            static_cast<int>(std::max<long>(1, (threads * 3) / 4));
-        fpga_threads =
-            static_cast<int>(std::max<long>(1, threads - seeding_threads));
-    }
+    if (threads > 0)
+        setTotalThreads(threads);
     batch_size = static_cast<size_t>(
         envLong("SEEDEX_BATCH", static_cast<long>(batch_size)));
     queue_capacity = static_cast<size_t>(
@@ -120,8 +107,8 @@ namespace {
  * `reads_vec` non-null) and alignThreadedSource (pull feed, `source`
  * non-null). The two modes differ only in how producers obtain a batch
  * worth of reads and in where read storage lives (caller's vector vs
- * the slab's own names/seqs); seeding, the device stages, and the
- * reorder hand-off are identical.
+ * the slab's own names/seqs); seeding, extension, and the reorder
+ * hand-off are identical.
  */
 void
 runThreadedPipeline(const Sequence &reference,
@@ -137,13 +124,6 @@ runThreadedPipeline(const Sequence &reference,
         external_index = owned_index.get();
     }
     const FmdIndex &index = *external_index;
-    // The single FPGA: one accelerator instance behind a lock (§V-B:
-    // "an FPGA thread acquires a lock to control the FPGA state").
-    SeedExConfig filter_cfg = config.pipeline.seedex;
-    filter_cfg.band = config.pipeline.band;
-    filter_cfg.scoring = config.pipeline.extension.scoring;
-    const SeedExAccelerator device(config.organization, filter_cfg);
-    std::mutex fpga_lock;
 
     if (config.paired && reads_vec != nullptr &&
         reads_vec->size() % 2 != 0)
@@ -186,30 +166,14 @@ runThreadedPipeline(const Sequence &reference,
         });
 
     std::atomic<size_t> next_read{0};
-    std::atomic<uint64_t> extensions{0}, reruns{0}, batches{0},
-        device_cycles{0};
+    std::atomic<uint64_t> extensions{0}, reruns{0}, batches{0};
     std::atomic<uint64_t> pair_count{0}, pair_proper{0}, pair_rescues{0},
         pair_rescue_ext{0}, pair_rescue_passes{0};
     std::mutex cpu_mutex;
-    double producer_cpu = 0, consumer_cpu = 0, device_cpu = 0;
+    double producer_cpu = 0, consumer_cpu = 0;
 
     Stopwatch wall;
     wall.start();
-
-    // Vector feed: size the per-thread DP workspaces once, before any
-    // read is touched — every extension in the run is bounded by the
-    // longest read (plus the band-dependent target window), so the
-    // steady state never reallocates. A pull feed has no a-priori
-    // length bound; there each thread grows its workspace per batch
-    // instead (grow-only, so allocation stops once the longest read
-    // length has been seen).
-    const size_t band_slack =
-        static_cast<size_t>(std::max(config.pipeline.band, 0)) + 2;
-    size_t max_read_len = 0;
-    if (reads_vec != nullptr)
-        for (const auto &read : *reads_vec)
-            max_read_len = std::max(max_read_len, read.second.size());
-    const size_t max_target_len = max_read_len + band_slack;
 
     // Pull-feed state: the source callback runs under this mutex
     // together with sequence/base assignment, so batch numbering stays
@@ -260,9 +224,6 @@ runThreadedPipeline(const Sequence &reference,
     };
 
     auto seeding_worker = [&](size_t producer_id) {
-        if (reads_vec != nullptr)
-            DpWorkspace::tls().prepareExtension(max_read_len,
-                                                max_target_len);
         SeedWorkspace &ws = SeedWorkspace::tls();
         ChainWorkspace &cws = ChainWorkspace::tls();
         std::vector<const Sequence *> queries(seed_chunk);
@@ -331,7 +292,6 @@ runThreadedPipeline(const Sequence &reference,
                 batch->seq = seq;
                 batch->base = base;
                 batch->n_items = n;
-                size_t longest = 0;
                 for (size_t i = 0; i < n; ++i) {
                     std::swap(batch->names[i], pulled[i].first);
                     std::swap(batch->seqs[i], pulled[i].second);
@@ -339,10 +299,7 @@ runThreadedPipeline(const Sequence &reference,
                     item.read_idx = base + i;
                     item.name = &batch->names[i];
                     item.read = &batch->seqs[i];
-                    longest = std::max(longest, batch->seqs[i].size());
                 }
-                DpWorkspace::tls().prepareExtension(
-                    longest, longest + band_slack);
             }
             seed_slab(batch, queries, seeds, ws, cws);
             ring.push(batch, producer_id);
@@ -352,310 +309,64 @@ runThreadedPipeline(const Sequence &reference,
         producer_cpu += cpu;
     };
 
-    // ---- Consumers: FPGA threads (batch, extend, post-process).
-    const ExtensionParams &xp = config.pipeline.extension;
+    // ---- Consumers: FPGA threads. Every read of a claimed slab runs
+    // through the Aligner's own per-read body (alignChains).
     auto fpga_worker = [&](size_t consumer_id) {
-        if (reads_vec != nullptr)
-            DpWorkspace::tls().prepareExtension(max_read_len,
-                                                max_target_len);
-        // Per-consumer scratch, recycled across batches.
-        struct Slot
-        {
-            const SeededRead *item;
-            size_t item_idx;
-            const Chain *chain;
-            ChainAlignment aln;
-            int score;
+        // One engine per consumer, built exactly as the Aligner builds
+        // its own; it extends chains and rescues mates alike. Engine
+        // state (band-predictor history, filter tallies) depends on how
+        // batches interleave but never reaches the output: accepted
+        // narrow-band results carry the full-band optimality proof, so
+        // SAM bytes are schedule-independent.
+        const std::unique_ptr<ExtensionEngine> engine =
+            makeEngine(config.pipeline);
+        const auto *seedex_engine =
+            dynamic_cast<const SeedExEngine *>(engine.get());
+        const auto rejections = [seedex_engine]() -> uint64_t {
+            if (seedex_engine == nullptr)
+                return 0;
+            const FilterStats &f = seedex_engine->stats();
+            return f.total - f.pass_s2 - f.pass_checks;
         };
-        std::vector<Slot> slots;
-        std::vector<PendingExtension> pending;
-        std::vector<ExtensionJob> jobs;
-        std::vector<obs::ReadRecord> ledger_recs;
-        std::vector<int> rec_of_item;
-        // Per-consumer band-speculation policy. Predictor state is
-        // deterministic per worker but depends on batch interleaving;
-        // that is safe because predictions only steer which bands the
-        // ladder tries — every rung re-runs the optimality checks and
-        // the final fallback is the full band, so SAM bytes are policy-
-        // and schedule-independent.
-        BandPolicyConfig policy_cfg = config.pipeline.band_policy;
-        policy_cfg.base_band = config.pipeline.band;
-        BandPolicy policy(std::move(policy_cfg));
-        // Paired mode: a per-consumer SeedEx rescue engine (same filter
-        // configuration as the device, so rescue extensions carry the
-        // identical full-band bit-equality acceptance proof) plus the
-        // worker-invariant pair context. Engine state never influences
-        // output bytes — band invariance again — so per-consumer
-        // engines keep paired SAM schedule-independent.
-        std::unique_ptr<SeedExEngine> rescue_engine;
-        if (config.paired) {
-            BandPolicyConfig rescue_cfg = config.pipeline.band_policy;
-            rescue_cfg.base_band = config.pipeline.band;
-            rescue_engine = std::make_unique<SeedExEngine>(
-                filter_cfg, std::move(rescue_cfg));
-        }
         const PairContext pair_ctx{reference, config.pipeline.contigs,
-                                   xp, config.insert, config.mate_rescue};
+                                   config.pipeline.extension,
+                                   config.insert, config.mate_rescue};
+        // Paired mode: each mate's ledger record is held (by batch
+        // item) until the pair's outcome is folded in.
+        std::vector<std::optional<obs::ReadRecord>> held(
+            config.paired ? batch_size : 0);
         const double cpu_begin = threadCpuSeconds();
-        double my_device_cpu = 0;
         for (;;) {
             SeededBatch *claimed = ring.pop(consumer_id);
             if (claimed == nullptr)
                 break;
             SeededBatch &batch = *claimed;
-            if (source != nullptr) {
-                size_t longest = 0;
-                for (size_t i = 0; i < batch.n_items; ++i)
-                    longest = std::max(longest,
-                                       batch.items[i].read->size());
-                DpWorkspace::tls().prepareExtension(
-                    longest, longest + band_slack);
-            }
             obs::TraceSpan batch_span("threaded.fpga_batch", "threaded");
             obs::PerfScope batch_perf(threadedProfiles().fpga_batch);
             Stopwatch batch_watch;
             batch_watch.start();
             ++batches;
 
-            // Provenance ledger: a read's journey spans producer and
-            // consumer threads, so records are assembled here per batch
-            // (keyed by batch item) and published whole — never through
-            // the thread-local scope the single-threaded pipeline uses.
-            obs::Ledger &ledger = obs::Ledger::global();
-            const bool ledger_on = ledger.enabled();
-            ledger_recs.clear();
-            if (ledger_on) {
-                rec_of_item.assign(batch.n_items, -1);
-                for (size_t i = 0; i < batch.n_items; ++i) {
-                    if (!ledger.shouldRecord(batch.items[i].read_idx))
-                        continue;
-                    obs::ReadRecord rec;
-                    rec.read_index = batch.items[i].read_idx;
-                    rec.name = *batch.items[i].name;
-                    rec.seeds = batch.items[i].n_seeds;
-                    rec.chains =
-                        static_cast<uint32_t>(batch.items[i].n_chains);
-                    rec.band = config.pipeline.band;
-                    rec.kernel = kernelIsaName(kernelDispatch());
-                    rec_of_item[i] =
-                        static_cast<int>(ledger_recs.size());
-                    ledger_recs.push_back(std::move(rec));
-                }
-            }
-
-            // Chain table for the whole batch.
-            slots.clear();
-            for (size_t i = 0; i < batch.n_items; ++i) {
-                const SeededRead &item = batch.items[i];
-                for (size_t c = 0; c < item.n_chains; ++c) {
-                    const Chain &chain = item.chains[c];
-                    Slot slot;
-                    slot.item = &item;
-                    slot.item_idx = i;
-                    slot.chain = &chain;
-                    const Seed &anchor = chain.anchor();
-                    slot.aln.reverse = chain.reverse;
-                    slot.aln.seed_score = anchor.len * xp.scoring.match;
-                    slot.aln.qbeg = anchor.qbeg;
-                    slot.aln.qend = anchor.qend();
-                    slot.aln.rbeg = anchor.rbeg;
-                    slot.aln.rend = anchor.rend();
-                    slot.score = slot.aln.seed_score;
-                    slots.push_back(std::move(slot));
-                }
-            }
-
-            auto oriented = [&](const Slot &slot) -> const Sequence & {
-                return slot.chain->reverse
-                    ? slot.item->reverse_complement
-                    : *slot.item->read;
-            };
-
-            // Fold one device job's outcome into its read's ledger
-            // record (the per-job vectors in BatchResult are parallel
-            // to the pending list handed to run_batch).
-            auto attribute = [&](const BatchResult &res, size_t k,
-                                 const Slot &slot) {
-                if (!ledger_on)
-                    return;
-                const int ri = rec_of_item[slot.item_idx];
-                if (ri < 0)
-                    return;
-                obs::ReadRecord &rec =
-                    ledger_recs[static_cast<size_t>(ri)];
-                ++rec.extensions;
-                // One narrow speculation per filtered ladder rung.
-                rec.kernel_calls += res.ladder_rungs[k];
-                rec.ladder_rungs += res.ladder_rungs[k];
-                if (res.band_predicted[k] > rec.band_predicted)
-                    rec.band_predicted = res.band_predicted[k];
-                rec.addVerdict(ledgerVerdict(res.verdicts[k]),
-                               res.edit_runs[k]);
-                if (res.rerun[k]) {
-                    ++rec.reruns;
-                    ++rec.kernel_calls; // host full-band rerun
-                }
-                rec.band_used =
-                    std::max(rec.band_used, res.results[k].max_off);
-            };
-
-            // Phase 1: package all left extensions.
-            pending.clear();
-            for (size_t s = 0; s < slots.size(); ++s) {
-                const Seed &anchor = slots[s].chain->anchor();
-                if (anchor.qbeg == 0)
-                    continue;
-                PendingExtension p;
-                p.batch_slot = s;
-                p.job.query = reversedSeq(oriented(slots[s]).slice(
-                    0, static_cast<size_t>(anchor.qbeg)));
-                const uint64_t window = std::min<uint64_t>(
-                    anchor.rbeg, static_cast<uint64_t>(
-                                     anchor.qbeg + xp.window_slack));
-                p.job.target = reversedSeq(reference.slice(
-                    anchor.rbeg - window, static_cast<size_t>(window)));
-                p.job.h0 = slots[s].score;
-                p.job.hint.read_len =
-                    static_cast<int>(oriented(slots[s]).size());
-                p.job.hint.chain_weight = slots[s].chain->weight;
-                p.job.hint.n_seeds =
-                    static_cast<int>(slots[s].chain->seeds.size());
-                pending.push_back(std::move(p));
-            }
-            auto run_batch = [&](std::vector<PendingExtension> &pend) {
-                jobs.clear();
-                jobs.reserve(pend.size());
-                for (PendingExtension &p : pend)
-                    jobs.push_back(p.job);
-                obs::TraceSpan push_span("threaded.device_push",
-                                         "threaded");
-                std::lock_guard<std::mutex> lock(fpga_lock);
-                const double device_begin = threadCpuSeconds();
-                BatchResult r = device.processBatch(jobs, &policy);
-                my_device_cpu += threadCpuSeconds() - device_begin;
-                device_cycles += r.device_cycles;
-                extensions += jobs.size();
-                reruns += r.reruns_checks + r.reruns_exception;
-                return r;
-            };
-            if (!pending.empty()) {
-                const BatchResult left = run_batch(pending);
-                // Parse left results: clip decision + h0 update (§V-B).
-                for (size_t k = 0; k < pending.size(); ++k) {
-                    Slot &slot = slots[pending[k].batch_slot];
-                    attribute(left, k, slot);
-                    const ExtendResult &r = left.results[k];
-                    const Seed &anchor = slot.chain->anchor();
-                    slot.aln.max_off =
-                        std::max(slot.aln.max_off, r.max_off);
-                    if (r.gscore <= 0 ||
-                        r.gscore < r.score - xp.end_bonus) {
-                        slot.score = r.score;
-                        slot.aln.qbeg = anchor.qbeg - r.qle;
-                        slot.aln.rbeg =
-                            anchor.rbeg - static_cast<uint64_t>(r.tle);
-                    } else {
-                        slot.score = r.gscore;
-                        slot.aln.qbeg = 0;
-                        slot.aln.rbeg =
-                            anchor.rbeg - static_cast<uint64_t>(r.gtle);
-                    }
-                }
-            }
-
-            // Phase 2: right extensions seeded with the updated score.
-            pending.clear();
-            for (size_t s = 0; s < slots.size(); ++s) {
-                Slot &slot = slots[s];
-                const Seed &anchor = slot.chain->anchor();
-                const int n =
-                    static_cast<int>(oriented(slot).size());
-                if (anchor.qend() >= n)
-                    continue;
-                const int remain = n - anchor.qend();
-                PendingExtension p;
-                p.batch_slot = s;
-                p.job.query = oriented(slot).slice(
-                    static_cast<size_t>(anchor.qend()),
-                    static_cast<size_t>(remain));
-                const uint64_t avail = reference.size() -
-                    std::min<uint64_t>(reference.size(), anchor.rend());
-                const uint64_t window = std::min<uint64_t>(
-                    avail,
-                    static_cast<uint64_t>(remain + xp.window_slack));
-                p.job.target = reference.slice(
-                    anchor.rend(), static_cast<size_t>(window));
-                p.job.h0 = slot.score;
-                p.job.hint.read_len = n;
-                p.job.hint.chain_weight = slot.chain->weight;
-                p.job.hint.n_seeds =
-                    static_cast<int>(slot.chain->seeds.size());
-                pending.push_back(std::move(p));
-            }
-            if (!pending.empty()) {
-                const BatchResult right = run_batch(pending);
-                for (size_t k = 0; k < pending.size(); ++k) {
-                    Slot &slot = slots[pending[k].batch_slot];
-                    attribute(right, k, slot);
-                    const ExtendResult &r = right.results[k];
-                    const Seed &anchor = slot.chain->anchor();
-                    const int n =
-                        static_cast<int>(oriented(slot).size());
-                    slot.aln.max_off =
-                        std::max(slot.aln.max_off, r.max_off);
-                    if (r.gscore <= 0 ||
-                        r.gscore < r.score - xp.end_bonus) {
-                        slot.score = r.score;
-                        slot.aln.qend = anchor.qend() + r.qle;
-                        slot.aln.rend =
-                            anchor.rend() + static_cast<uint64_t>(r.tle);
-                    } else {
-                        slot.score = r.gscore;
-                        slot.aln.qend = n;
-                        slot.aln.rend = anchor.rend() +
-                                        static_cast<uint64_t>(r.gtle);
-                    }
-                }
-            }
-
-            // Post-processing: best chain per read, traceback, SAM,
-            // then hand the whole batch to the reorder window.
-            obs::TraceSpan post_span("threaded.postprocess", "threaded");
+            // Chain extensions only: mate rescue below shares the engine
+            // and is counted under seedex.paired.rescue_extensions.
+            uint64_t batch_extensions = 0;
+            const uint64_t rejected_before = rejections();
             std::vector<SamRecord> recs(batch.n_items);
-            size_t s = 0;
             for (size_t i = 0; i < batch.n_items; ++i) {
                 const SeededRead &item = batch.items[i];
-                obs::ReadRecord *rec =
-                    ledger_on && rec_of_item[i] >= 0
-                        ? &ledger_recs[static_cast<size_t>(
-                              rec_of_item[i])]
-                        : nullptr;
-                if (item.n_chains == 0) {
-                    recs[i] = unmappedRecord(*item.name, *item.read);
-                    continue;
-                }
-                size_t best = s;
-                int sub = 0;
-                for (size_t c = 1; c < item.n_chains; ++c) {
-                    if (slots[s + c].score > slots[best].score) {
-                        sub = slots[best].score;
-                        best = s + c;
-                    } else {
-                        sub = std::max(sub, slots[s + c].score);
-                    }
-                }
-                slots[best].aln.score = slots[best].score;
-                recs[i] = buildSamRecord(*item.name, *item.read,
-                                         slots[best].aln, sub, reference,
-                                         xp.scoring,
-                                         config.pipeline.contigs);
-                if (rec != nullptr) {
-                    rec->chain_chosen = static_cast<int>(best - s);
-                    rec->score = recs[i].score;
-                    rec->mapped = recs[i].mapped();
-                }
-                s += item.n_chains;
+                obs::ReadScope ledger_scope(item.read_idx, *item.name);
+                ReadAlignment aln = alignChains(
+                    *item.name, *item.read, item.reverse_complement,
+                    item.chains, item.n_chains, item.n_seeds, reference,
+                    *engine, config.pipeline);
+                recs[i] = std::move(aln.record);
+                batch_extensions += aln.extensions;
+                if (config.paired && ledger_scope.record() != nullptr)
+                    held[i] = ledger_scope.release();
             }
+            extensions += batch_extensions;
+            reruns += rejections() - rejected_before;
+
             // Pair finalization: mates sit at items 2j/2j+1 of this
             // slab (even batch size + whole-pair feed), so rescue, the
             // proper verdict, and the SAM pair bookkeeping run here —
@@ -665,37 +376,30 @@ runThreadedPipeline(const Sequence &reference,
                 for (size_t i = 0; i + 1 < batch.n_items; i += 2) {
                     const PairOutcome po = finalizePair(
                         recs[i], recs[i + 1], *batch.items[i].read,
-                        *batch.items[i + 1].read, *rescue_engine,
-                        pair_ctx);
+                        *batch.items[i + 1].read, *engine, pair_ctx);
                     ++pair_count;
                     pair_proper += po.proper ? 1 : 0;
                     pair_rescues += po.rescued() ? 1 : 0;
                     pair_rescue_ext += po.rescue_extensions;
                     pair_rescue_passes += po.rescue_passes;
-                    if (!ledger_on)
-                        continue;
                     for (size_t m = 0; m < 2; ++m) {
-                        const int ri = rec_of_item[i + m];
-                        if (ri < 0)
+                        std::optional<obs::ReadRecord> &rec = held[i + m];
+                        if (!rec)
                             continue;
-                        obs::ReadRecord &rec =
-                            ledger_recs[static_cast<size_t>(ri)];
-                        rec.paired = true;
-                        rec.proper = po.proper;
+                        rec->paired = true;
+                        rec->proper = po.proper;
                         const bool rescued = m == 0 ? po.rescued_first
                                                     : po.rescued_second;
-                        rec.pair_rescued = rescued;
+                        rec->pair_rescued = rescued;
                         if (rescued)
-                            rec.rescue_extensions += po.rescue_extensions;
+                            rec->rescue_extensions += po.rescue_extensions;
                         // Rescue can replace the record outright.
-                        rec.score = recs[i + m].score;
-                        rec.mapped = recs[i + m].mapped();
+                        rec->score = recs[i + m].score;
+                        rec->mapped = recs[i + m].mapped();
+                        obs::Ledger::global().publish(std::move(*rec));
+                        rec.reset();
                     }
                 }
-            }
-            if (ledger_on) {
-                for (obs::ReadRecord &rec : ledger_recs)
-                    ledger.publish(std::move(rec));
             }
             const uint64_t seq = batch.seq;
             const size_t base = batch.base;
@@ -711,14 +415,14 @@ runThreadedPipeline(const Sequence &reference,
             m.reads.inc(n_items);
             m.batch_wall.observe(batch_watch.seconds());
             SEEDEX_LOG(Debug, "threaded",
-                       "fpga batch: %zu reads, %zu slots in %.3f ms",
-                       n_items, slots.size(),
+                       "fpga batch: %zu reads, %llu extensions in %.3f ms",
+                       n_items,
+                       static_cast<unsigned long long>(batch_extensions),
                        batch_watch.seconds() * 1e3);
         }
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
         consumer_cpu += cpu;
-        device_cpu += my_device_cpu;
     };
 
     std::vector<std::thread> workers;
@@ -759,18 +463,11 @@ runThreadedPipeline(const Sequence &reference,
         report->batches = batches;
         report->extensions = extensions;
         report->reruns = reruns;
-        report->device_cycles = device_cycles;
         report->seeding_threads = n_producers;
         report->fpga_threads = n_consumers;
         report->batch_size = batch_size;
         report->producer_cpu_seconds = producer_cpu;
         report->consumer_cpu_seconds = consumer_cpu;
-        report->device_emulation_cpu_seconds = device_cpu;
-        report->device_occupancy_seconds =
-            config.organization.clock_hz > 0
-                ? static_cast<double>(device_cycles.load()) /
-                    config.organization.clock_hz
-                : 0.0;
         report->queue.publishes = ring.publishes();
         report->queue.claims = ring.claims();
         report->queue.wakeups = ring.wakeups();

@@ -7,20 +7,19 @@
 
 #include "aligner/paired.h"
 #include "aligner/pipeline.h"
-#include "hw/accelerator.h"
 
 namespace seedex {
 
 /**
  * The software architecture of Fig. 12 (§V-B): seeding threads perform
  * seeding and chaining and publish whole batch slabs for FPGA threads;
- * FPGA threads claim a slab, package extension jobs, acquire the device
- * lock, push a batch through the accelerator, parse results (updating
- * the initial score of right extensions with the left-extension outcome
- * "in the middle of parsing left extension results"), handle the rerun
- * tail, and emit SAM records. Results are produced out of order and
- * streamed back in input order through a sequence-stamped reorder
- * buffer (see batch_ring.h).
+ * FPGA threads claim a slab and run every read through the Aligner's
+ * own per-read body (alignChains: extendChain on each chain through the
+ * consumer's engine, best/runner-up pick, SAM record). No device model
+ * runs here: the paper's device lock shares one physical FPGA, and the
+ * behavioural models (hw/) replay captured jobs bench-side instead.
+ * Results are produced out of order and streamed back in input order
+ * through a sequence-stamped reorder buffer (see batch_ring.h).
  */
 struct ThreadedConfig
 {
@@ -36,7 +35,6 @@ struct ThreadedConfig
      *  per two producers, capped at 4). */
     int queue_shards = 0;
     PipelineConfig pipeline;
-    AcceleratorOrganization organization;
 
     /**
      * Paired-end mode: the read stream supplies whole pairs as two
@@ -57,12 +55,16 @@ struct ThreadedConfig
     /** Attempt SeedEx-checked mate rescue for half-mapped pairs. */
     bool mate_rescue = true;
 
+    /** Split `total` worker threads by the paper's 3:1 rule (most
+     *  threads seed; a few extend), at least one each side. */
+    void setTotalThreads(long total);
+
     /**
      * Fold the environment knobs into this config (README "Threading
-     * knobs"): SEEDEX_THREADS (total worker threads, split 3:1 between
-     * seeding and FPGA threads, at least one each), SEEDEX_BATCH,
-     * SEEDEX_QUEUE_CAP, SEEDEX_QUEUE_SHARDS. Unset or unparsable
-     * variables leave the current values untouched.
+     * knobs"): SEEDEX_THREADS (total worker threads, split by
+     * setTotalThreads), SEEDEX_BATCH, SEEDEX_QUEUE_CAP,
+     * SEEDEX_QUEUE_SHARDS. Unset or unparsable variables leave the
+     * current values untouched.
      */
     void applyEnv();
 };
@@ -73,10 +75,10 @@ struct ThreadedReport
     double wall_seconds = 0;
     uint64_t reads = 0;
     uint64_t batches = 0;
+    /** Chain extensions (mate-rescue extensions are in `paired`). */
     uint64_t extensions = 0;
+    /** Chain extensions the SeedEx filter rejected (full-band reruns). */
     uint64_t reruns = 0;
-    /** Modeled FPGA occupancy summed over batches. */
-    uint64_t device_cycles = 0;
 
     // Run shape (so a report is self-describing in sweep JSON).
     int seeding_threads = 0;
@@ -87,13 +89,10 @@ struct ThreadedReport
     // meaningful on an oversubscribed host — see threadCpuSeconds()).
     double producer_cpu_seconds = 0;
     double consumer_cpu_seconds = 0;
-    /** CPU spent emulating the device inside processBatch — a host
-     *  artifact a real FPGA would not pay; consumer_cpu_seconds
-     *  includes it. Approximation: measured around the whole
-     *  processBatch call under the device lock. */
+    /** CPU spent emulating the device model. Always 0: the pipeline
+     *  runs no device model (the hw/ models are bench-side observers);
+     *  the field stays so existing report readers keep working. */
     double device_emulation_cpu_seconds = 0;
-    /** Modeled device busy time: device_cycles / clock_hz. */
-    double device_occupancy_seconds = 0;
 
     /** Hand-off ring telemetry (threaded.queue.* instruments). */
     struct Queue
@@ -159,10 +158,10 @@ using ReadSource = std::function<size_t(
  * record to `sink` in input order as soon as its batch retires from the
  * reorder window (memory stays bounded by the in-flight window, not the
  * read count). Records are bit-identical to the single-threaded
- * full-band pipeline. The sink runs on consumer threads but is never
- * called concurrently. `index` lets the caller supply a prebuilt
- * FM-index of `reference` (e.g. loaded from a `.sdx` container); when
- * null the pipeline builds its own.
+ * Aligner with the same PipelineConfig. The sink runs on consumer
+ * threads but is never called concurrently. `index` lets the caller
+ * supply a prebuilt FM-index of `reference` (e.g. loaded from a `.sdx`
+ * container); when null the pipeline builds its own.
  */
 void
 alignThreadedStream(const Sequence &reference,

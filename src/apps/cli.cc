@@ -61,9 +61,8 @@ const char kUsage[] =
     "  --band-ladder=LIST  comma-separated ascending escalation bands\n"
     "                      for --band-policy=adaptive "
     "(SEEDEX_BAND_LADDER)\n"
-    "  --threads=N         total worker threads (SEEDEX_THREADS); 1 =\n"
-    "                      single-threaded in-process pipeline\n"
-    "  --seeding-threads=N / --fpga-threads=N  explicit 3:1 split override\n"
+    "  --threads=N         total worker threads (SEEDEX_THREADS), split\n"
+    "                      3:1 seeding:extension; 1 = single-threaded\n"
     "  --batch=N           reads per pipeline batch (SEEDEX_BATCH)\n"
     "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
     "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
@@ -311,11 +310,10 @@ cmdAlign(int argc, char **argv)
     const Args args = parseArgs(
         argc, argv, 2,
         {"--engine", "--band", "--band-policy", "--band-ladder",
-         "--threads", "--seeding-threads", "--fpga-threads", "--batch",
-         "--queue-cap", "--queue-shards", "--kernel", "--fm-layout",
-         "--kmer", "--metrics-out", "--trace-out", "--ledger-out",
-         "--ledger-sample", "--interleaved", "--insert-mean",
-         "--insert-sd", "--no-rescue"},
+         "--threads", "--batch", "--queue-cap", "--queue-shards",
+         "--kernel", "--fm-layout", "--kmer", "--metrics-out",
+         "--trace-out", "--ledger-out", "--ledger-sample", "--interleaved",
+         "--insert-mean", "--insert-sd", "--no-rescue"},
         {"-o", "-1", "-2"});
 
     // Paired-end input shape: -1/-2 (two files, no reads operand) or
@@ -393,22 +391,14 @@ cmdAlign(int argc, char **argv)
     }
 
     // Threading shape: env knobs first (ThreadedConfig::applyEnv), then
-    // flags override. --threads picks the paper's 3:1 split; the
-    // explicit per-side flags override that.
+    // flags override. --threads picks the paper's 3:1 split.
     ThreadedConfig tconfig;
     tconfig.applyEnv();
     long threads = 1;
     if (const char *v = std::getenv("SEEDEX_THREADS"))
         threads = std::max(1L, std::strtol(v, nullptr, 10));
     threads = std::max(1L, args.getLong("--threads", threads));
-    tconfig.seeding_threads =
-        static_cast<int>(std::max<long>(1, (threads * 3) / 4));
-    tconfig.fpga_threads = static_cast<int>(
-        std::max<long>(1, threads - tconfig.seeding_threads));
-    tconfig.seeding_threads = static_cast<int>(args.getLong(
-        "--seeding-threads", tconfig.seeding_threads));
-    tconfig.fpga_threads = static_cast<int>(
-        args.getLong("--fpga-threads", tconfig.fpga_threads));
+    tconfig.setTotalThreads(threads);
     tconfig.batch_size = static_cast<size_t>(args.getLong(
         "--batch", static_cast<long>(tconfig.batch_size)));
     tconfig.queue_capacity = static_cast<size_t>(args.getLong(
@@ -416,16 +406,7 @@ cmdAlign(int argc, char **argv)
     tconfig.queue_shards = static_cast<int>(args.getLong(
         "--queue-shards", tconfig.queue_shards));
 
-    bool threaded = threads > 1 || args.has("--seeding-threads") ||
-        args.has("--fpga-threads");
-    // The threaded path always drives the SeedEx device pipeline (its
-    // output is bit-identical to fullband by the optimality guarantee);
-    // the unguaranteed banded engine only exists single-threaded.
-    if (threaded && pconfig.engine == EngineKind::Banded) {
-        std::cerr << "seedex align: --engine=banded is single-threaded; "
-                     "ignoring --threads\n";
-        threaded = false;
-    }
+    const bool threaded = threads > 1;
 
     // Observability passthrough (same contract as the bench binaries):
     // enabling trace/ledger must happen before the run, writing after.
@@ -616,9 +597,10 @@ cmdAlign(int argc, char **argv)
     }
     wall.stop();
     out.flush();
-    if (args.has("-o") && !file_out)
-        throw std::runtime_error(args.get("-o") +
-                                 ": write failed (disk full?)");
+    if (!out)
+        throw std::runtime_error(
+            (args.has("-o") ? args.get("-o") : std::string("<stdout>")) +
+            ": write failed (disk full?)");
 
     std::cerr << strprintf(
         "seedex align: %llu reads in %.2f s (%s)\n",

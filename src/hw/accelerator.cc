@@ -45,43 +45,29 @@ deviceMetrics()
 } // namespace
 
 BatchResult
-SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
-                                BandPolicy *policy) const
+SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
 {
     obs::TraceSpan span("device.batch", "device");
     BatchResult batch;
     batch.results.reserve(jobs.size());
-    batch.rerun.assign(jobs.size(), false);
 
     const int n_bsw = org_.totalBswCores();
     std::vector<uint64_t> core_busy(static_cast<size_t>(n_bsw), 0);
     const SeedExConfig &cfg = filter_.config();
     SystolicBswCore bsw(cfg.band, cfg.scoring);
 
-    // Functional path: the band policy runs the speculation ladder
-    // (SeedExFilter checks at each rung, full-band host rerun as the
-    // final fallback). With no caller-owned policy this is the fixed
-    // one-shot speculation at the filter's band capped at BWA's
-    // per-flank estimate — the pre-policy device behavior, bit for bit.
-    // The policy is host-side scheduling: the device timing model below
-    // is unchanged (the hardware band is fixed; unused PEs are simply
-    // disabled).
-    BandPolicy fallback_policy(BandPolicyConfig::fixed(cfg.band));
-    BandPolicy &pol = policy != nullptr ? *policy : fallback_policy;
+    // Functional path: the fixed one-shot speculation at the filter's
+    // band capped at BWA's per-flank estimate (SeedExFilter checks,
+    // full-band host rerun on rejection).
+    BandPolicy policy(BandPolicyConfig::fixed(cfg.band));
 
-    for (size_t idx = 0; idx < jobs.size(); ++idx) {
-        const ExtensionJob &job = jobs[idx];
+    for (const ExtensionJob &job : jobs) {
         const int est = estimateFullBand(
             static_cast<int>(job.query.size()), cfg.scoring,
             cfg.end_bonus);
-        const LadderOutcome lo = pol.extend(filter_, job.query, job.target,
-                                            job.h0, job.hint,
-                                            &batch.stats);
-        batch.verdicts.push_back(lo.verdict);
-        batch.edit_runs.push_back(lo.ran_edit_machine);
-        batch.band_predicted.push_back(lo.band_predicted);
-        batch.ladder_rungs.push_back(
-            static_cast<uint8_t>(std::min(lo.rungs_run, 255)));
+        const LadderOutcome lo = policy.extend(filter_, job.query,
+                                               job.target, job.h0,
+                                               job.hint, &batch.stats);
 
         // Timing + exception path: the systolic model of the same core.
         BswCoreStats stats;
@@ -100,15 +86,11 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
             batch.edit_cycles += estats.cycles;
         }
 
-        bool rerun = !lo.accepted;
-        if (stats.early_term_exception) {
-            rerun = true;
+        if (stats.early_term_exception)
             ++batch.reruns_exception;
-        } else if (!lo.accepted) {
+        else if (!lo.accepted)
             ++batch.reruns_checks;
-        }
-        batch.rerun[idx] = rerun;
-        if (rerun && lo.accepted) {
+        if (stats.early_term_exception && lo.accepted) {
             // Speculative early-termination exception on an accepted
             // extension: the device result cannot be trusted, so the
             // host recomputes at the conservatively estimated full band.

@@ -38,18 +38,6 @@ struct BatchResult
 {
     /** Final, guaranteed-optimal results (host reruns already applied). */
     std::vector<ExtendResult> results;
-    /** Which jobs were rerun on the host and why. */
-    std::vector<bool> rerun;
-    /** Per-job filter verdicts and edit-machine usage, parallel to
-     *  `results` (provenance-ledger attribution: batches mix reads, so
-     *  the caller maps job -> read). */
-    std::vector<Verdict> verdicts;
-    std::vector<bool> edit_runs;
-    /** Per-job band-policy provenance, parallel to `results`: the
-     *  predicted first-rung band (-1 = no prediction / fixed policy)
-     *  and how many filtered ladder rungs ran (>= 1). */
-    std::vector<int32_t> band_predicted;
-    std::vector<uint8_t> ladder_rungs;
     uint64_t reruns_checks = 0;     ///< optimality checks failed
     uint64_t reruns_exception = 0;  ///< speculative early-term exception
     /** Modeled device occupancy: cycles of the busiest BSW core. */
@@ -84,17 +72,9 @@ class SeedExAccelerator
           edit_machine_(filter_cfg.band)
     {}
 
-    /**
-     * Push one batch through the device; reruns execute on the host.
-     *
-     * @param policy Optional per-worker band policy driving the
-     *   speculation ladder (nullptr = the fixed one-shot policy at the
-     *   filter's configured band, the paper's workflow). The policy is
-     *   host-side scheduling state: it decides which bands to try, never
-     *   what is accepted, so results stay guaranteed-optimal either way.
-     */
-    BatchResult processBatch(const std::vector<ExtensionJob> &jobs,
-                             BandPolicy *policy = nullptr) const;
+    /** Push one batch through the device (the paper's fixed one-shot
+     *  speculation at the filter's band); reruns execute on the host. */
+    BatchResult processBatch(const std::vector<ExtensionJob> &jobs) const;
 
     const AcceleratorOrganization &organization() const { return org_; }
     const SeedExFilter &filter() const { return filter_; }

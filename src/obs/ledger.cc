@@ -89,10 +89,15 @@ Ledger::open(uint64_t read_index, const std::string &name)
 void
 Ledger::close()
 {
-    if (!t_open)
-        return;
+    if (t_open)
+        global().publish(take());
+}
+
+ReadRecord
+Ledger::take()
+{
     t_open = false;
-    global().publish(std::move(t_record));
+    return std::move(t_record);
 }
 
 Ledger::ThreadBuffer &
@@ -244,10 +249,21 @@ ReadScope::ReadScope(const std::string &name)
     record_ = Ledger::open(ledger.nextReadIndex(), name);
 }
 
+ReadScope::ReadScope(uint64_t read_index, const std::string &name)
+    : record_(Ledger::open(read_index, name))
+{}
+
 ReadScope::~ReadScope()
 {
     if (record_ != nullptr)
         Ledger::close();
+}
+
+ReadRecord
+ReadScope::release()
+{
+    record_ = nullptr;
+    return Ledger::take();
 }
 
 } // namespace seedex::obs

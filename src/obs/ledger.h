@@ -211,8 +211,12 @@ class Ledger
     /** Publish the thread-local record opened by open(). */
     static void close();
 
-    /** Publish a fully assembled record (threaded pipeline path, where a
-     *  read's journey spans producer and consumer threads). */
+    /** Close the thread-local record opened by open() without
+     *  publishing it, and hand it to the caller. */
+    static ReadRecord take();
+
+    /** Publish a fully assembled record into the calling thread's
+     *  buffer. */
     void publish(ReadRecord rec);
 
     /** Drop all records and reset the sequence (quiescence only). */
@@ -251,8 +255,7 @@ class Ledger
 };
 
 /**
- * RAII read scope for the single-threaded pipeline: opens a thread-local
- * record (auto-numbered via Ledger::nextReadIndex) on construction and
+ * RAII read scope: opens a thread-local record on construction and
  * publishes it on destruction. record() is nullptr when the ledger is
  * disabled or the read was sampled out — callers guard field writes on
  * it; lower layers use Ledger::active().
@@ -260,13 +263,23 @@ class Ledger
 class ReadScope
 {
   public:
+    /** Auto-numbered via Ledger::nextReadIndex (the single-threaded
+     *  pipeline, which sees reads in input order). */
     explicit ReadScope(const std::string &name);
+    /** Explicitly numbered (the threaded pipeline, where consumers see
+     *  reads out of order). */
+    ReadScope(uint64_t read_index, const std::string &name);
     ~ReadScope();
 
     ReadScope(const ReadScope &) = delete;
     ReadScope &operator=(const ReadScope &) = delete;
 
     ReadRecord *record() const { return record_; }
+
+    /** Close the scope without publishing and hand the record over, so
+     *  the caller can fold in later facts (a pair's outcome) before it
+     *  publishes. Requires record() != nullptr. */
+    ReadRecord release();
 
   private:
     ReadRecord *record_ = nullptr;

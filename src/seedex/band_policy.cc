@@ -220,9 +220,8 @@ BandPolicy::extend(const SeedExFilter &filter, const Sequence &query,
     // SAM byte-identical regardless of read interleaving.
     predictor_.observe(out.result.max_off);
 
-    // Single-threaded provenance: fold ladder mechanics into the open
-    // read record. (The threaded pipeline carries these per job in
-    // BatchResult instead, since device batches interleave reads.)
+    // Provenance: fold ladder mechanics into the read record open on
+    // this thread.
     if (obs::ReadRecord *rec = obs::Ledger::active()) {
         rec->ladder_rungs += static_cast<uint32_t>(out.rungs_run);
         if (out.band_predicted > rec->band_predicted)

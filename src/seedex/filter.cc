@@ -51,9 +51,8 @@ FilterStats::add(const FilterOutcome &o)
     ++total;
     vc.total.inc();
     // Provenance ledger: attribute the verdict to the read whose scope
-    // is open on this thread (the single-threaded pipeline path; the
-    // threaded pipeline attributes per-job verdicts from BatchResult
-    // instead, where batches mix reads across threads).
+    // is open on this thread (single-threaded and threaded pipelines
+    // alike: each opens a scope around the read it is extending).
     if (obs::ReadRecord *rec = obs::Ledger::active()) {
         rec->addVerdict(ledgerVerdict(o.verdict), o.ran_edit_machine);
         if (!o.isAccepted())

@@ -2,7 +2,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -350,9 +352,25 @@ TEST_F(CliRoundTrip, SeedExFourThreads)
 
 TEST_F(CliRoundTrip, FullBandFourThreads)
 {
-    // The threaded path runs the SeedEx device pipeline; its optimality
-    // guarantee makes the output bit-identical to fullband.
     check(EngineKind::FullBand, "fullband", 4);
+}
+
+TEST_F(CliRoundTrip, BandedFourThreads)
+{
+    // The unguaranteed engine too: threaded consumers build the same
+    // engine the single-threaded Aligner runs.
+    check(EngineKind::Banded, "banded", 4);
+
+    // ...and the run really is threaded (no single-thread fallback).
+    const std::string metrics = tempPath("rt_banded_t4.json");
+    ASSERT_EQ(cli({"seedex", "align", sdxPath(), workload().fastq_path,
+                   "-o", tempPath("rt_banded_t4_m.sam"), "--engine=banded",
+                   "--threads=4", "--metrics-out=" + metrics}),
+              0);
+    std::ifstream in(metrics);
+    std::stringstream report;
+    report << in.rdbuf();
+    EXPECT_NE(report.str().find("\"threaded\":true"), std::string::npos);
 }
 
 // ---- CLI failure modes --------------------------------------------------
@@ -378,6 +396,38 @@ TEST(CliErrors, CorruptSdxExitsNonZero)
     EXPECT_EQ(cli({"seedex", "align", sdx, w.fastq_path, "-o", out}), 1);
 }
 
+/** A stream buffer whose every write fails, like stdout on a full
+ *  disk (`> /dev/full`). */
+class FailingStreambuf : public std::streambuf
+{
+  protected:
+    int_type overflow(int_type) override { return traits_type::eof(); }
+    std::streamsize xsputn(const char *, std::streamsize) override
+    {
+        return 0;
+    }
+};
+
+TEST(CliErrors, StdoutWriteFailureExitsOne)
+{
+    const Workload w = buildWorkload("full", 5);
+    for (const char *threads : {"--threads=1", "--threads=4"}) {
+        FailingStreambuf full;
+        std::ostringstream err;
+        std::streambuf *saved_out = std::cout.rdbuf(&full);
+        std::streambuf *saved_err = std::cerr.rdbuf(err.rdbuf());
+        const int rc =
+            cli({"seedex", "align", w.fasta_path, w.fastq_path, threads});
+        std::cout.rdbuf(saved_out);
+        std::cerr.rdbuf(saved_err);
+        std::cout.clear();
+        EXPECT_EQ(rc, 1) << threads;
+        EXPECT_NE(err.str().find("<stdout>: write failed"),
+                  std::string::npos)
+            << threads << ": " << err.str();
+    }
+}
+
 TEST(CliErrors, UsageErrorsExitTwo)
 {
     EXPECT_EQ(cli({"seedex"}), 2);
@@ -385,6 +435,9 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "index", "ref.fa"}), 2); // missing -o
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--bogus=1"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=soon"}), 2);
+    // --threads is the only thread-shape flag; the split is fixed 3:1.
+    EXPECT_EQ(cli({"seedex", "align", "a", "b", "--seeding-threads=2"}), 2);
+    EXPECT_EQ(cli({"seedex", "align", "a", "b", "--fpga-threads=2"}), 2);
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }

@@ -79,6 +79,7 @@ TEST(Ledger, ThreadedRunLosesAndDuplicatesNothing)
     cfg.seeding_threads = 3;
     cfg.fpga_threads = 2;
     cfg.batch_size = 16;
+    cfg.pipeline.engine = EngineKind::SeedEx;
     ThreadedReport report;
     const std::vector<SamRecord> records =
         alignThreaded(w.reference, w.reads, cfg, &report);
@@ -168,6 +169,61 @@ TEST(Ledger, SingleThreadedPipelineMatchesFilterCounters)
     EXPECT_GT(sum.verdictTotal(), 0u);
 }
 
+TEST(Ledger, ThreadedRecordsEqualSingleThreadedUnderFixedPolicy)
+{
+    // Threaded consumers run the Aligner's per-read body through the
+    // engine the config selects, with the same thread-local ledger
+    // hooks, so under the fixed band policy every schedule-independent
+    // field matches the single-threaded record — for every engine.
+    const Workload w = makeWorkload(120000, 400, 0x1ed6e404);
+    const auto records = [&](const PipelineConfig &pcfg, bool threaded) {
+        LedgerGuard guard(1);
+        if (threaded) {
+            ThreadedConfig cfg;
+            cfg.seeding_threads = 3;
+            cfg.fpga_threads = 2;
+            cfg.batch_size = 16;
+            cfg.pipeline = pcfg;
+            alignThreaded(w.reference, w.reads, cfg, nullptr);
+        } else {
+            Aligner aligner(w.reference, pcfg);
+            aligner.alignBatch(w.reads, nullptr);
+        }
+        return obs::Ledger::global().collect();
+    };
+
+    for (const EngineKind engine :
+         {EngineKind::SeedEx, EngineKind::FullBand, EngineKind::Banded}) {
+        PipelineConfig pcfg;
+        pcfg.engine = engine;
+        pcfg.band = 5; // narrow band: provokes real SeedEx fallbacks
+        const std::vector<obs::ReadRecord> single = records(pcfg, false);
+        const std::vector<obs::ReadRecord> threaded = records(pcfg, true);
+        const int e = static_cast<int>(engine);
+        ASSERT_EQ(single.size(), w.reads.size()) << e;
+        ASSERT_EQ(threaded.size(), single.size()) << e;
+        uint32_t reruns = 0;
+        for (size_t i = 0; i < single.size(); ++i) {
+            const obs::ReadRecord &a = single[i];
+            const obs::ReadRecord &b = threaded[i];
+            ASSERT_EQ(a.read_index, i) << e;
+            ASSERT_EQ(b.read_index, i) << e;
+            EXPECT_EQ(b.seeds, a.seeds) << e << " read " << i;
+            EXPECT_EQ(b.chains, a.chains) << e << " read " << i;
+            EXPECT_EQ(b.extensions, a.extensions) << e << " read " << i;
+            EXPECT_EQ(b.verdicts, a.verdicts) << e << " read " << i;
+            EXPECT_EQ(b.reruns, a.reruns) << e << " read " << i;
+            EXPECT_EQ(b.kernel_calls, a.kernel_calls) << e << " read " << i;
+            EXPECT_EQ(b.score, a.score) << e << " read " << i;
+            EXPECT_EQ(b.mapped, a.mapped) << e << " read " << i;
+            reruns += a.reruns;
+        }
+        if (engine == EngineKind::SeedEx) {
+            EXPECT_GT(reruns, 0u) << "narrow band never fell back";
+        }
+    }
+}
+
 TEST(Ledger, SamplingIsDeterministicAndExact)
 {
     const Workload w = makeWorkload(100000, 200, 0x1ed6e403);
@@ -176,6 +232,7 @@ TEST(Ledger, SamplingIsDeterministicAndExact)
     cfg.seeding_threads = 2;
     cfg.fpga_threads = 2;
     cfg.batch_size = 16;
+    cfg.pipeline.engine = EngineKind::SeedEx;
 
     {
         LedgerGuard guard(4);

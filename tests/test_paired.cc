@@ -115,6 +115,7 @@ TEST_F(PairedWall, ThreadedMatchesOracleBitExactlyAcrossThreadShapes)
         ThreadedConfig config;
         config.seeding_threads = seeding;
         config.fpga_threads = fpga;
+        config.pipeline = oconfig.pipeline;
         config.paired = true;
         config.insert = oconfig.insert;
         ThreadedReport report;
@@ -140,6 +141,7 @@ TEST_F(PairedWall, PairFlagAndMateFieldReciprocity)
     ThreadedConfig config;
     config.seeding_threads = 2;
     config.fpga_threads = 2;
+    config.pipeline.engine = EngineKind::SeedEx;
     config.paired = true;
     const std::vector<SamRecord> recs = alignThreaded(ref_, reads, config);
     ASSERT_EQ(recs.size(), reads.size());

@@ -148,6 +148,7 @@ TEST_F(SystemFixture, ThreadedMatchesSingleThreadedBaseline)
     config.seeding_threads = 3;
     config.fpga_threads = 2;
     config.batch_size = 16;
+    config.pipeline.engine = EngineKind::SeedEx;
     ThreadedReport report;
     const auto got = alignThreaded(ref_, reads, config, &report);
 
@@ -168,10 +169,12 @@ TEST_F(SystemFixture, ThreadedDeterministicAcrossThreadCounts)
     ThreadedConfig one;
     one.seeding_threads = 1;
     one.fpga_threads = 1;
+    one.pipeline.engine = EngineKind::SeedEx;
     ThreadedConfig many;
     many.seeding_threads = 4;
     many.fpga_threads = 3;
     many.batch_size = 8;
+    many.pipeline.engine = EngineKind::SeedEx;
     const auto a = alignThreaded(ref_, reads, one);
     const auto b = alignThreaded(ref_, reads, many);
     ASSERT_EQ(a.size(), b.size());

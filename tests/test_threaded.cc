@@ -325,6 +325,7 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     config.batch_size = 32;
     config.queue_capacity = 4;
     config.queue_shards = 4;
+    config.pipeline.engine = EngineKind::SeedEx;
     ThreadedReport report;
     std::vector<SamRecord> got;
     got.reserve(kReads);
@@ -362,6 +363,56 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     EXPECT_EQ(report.queue.shards, 4u);
     EXPECT_GT(report.producer_cpu_seconds, 0.0);
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
+}
+
+/** Kernel dispatches across every tier, and filter verdicts. */
+std::pair<uint64_t, uint64_t>
+kernelCallsAndVerdicts()
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    uint64_t calls = 0;
+    for (const char *isa : {"scalar", "sse", "avx2"})
+        calls += snap.counterValue(std::string("align.kernel.dispatch.") +
+                                   isa);
+    return {calls, snap.counterValue("filter.verdict.total")};
+}
+
+TEST_F(ThreadedStress, KernelWorkEqualsSingleThreadedUnderFixedPolicy)
+{
+    // One extension path: threaded consumers run the Aligner's engine
+    // through extendChain, so under the fixed band policy they dispatch
+    // exactly the kernel calls and filter verdicts the single-threaded
+    // Aligner does on the same reads — no second pass per extension.
+    const auto reads = simulateReads(600, 421);
+    PipelineConfig pcfg;
+    pcfg.engine = EngineKind::SeedEx;
+    pcfg.band = 11; // narrow: rejected extensions rerun at full band
+
+    const auto before_1t = kernelCallsAndVerdicts();
+    Aligner aligner(ref_, pcfg);
+    const auto expected = aligner.alignBatch(reads);
+    const auto after_1t = kernelCallsAndVerdicts();
+
+    ThreadedConfig config;
+    config.seeding_threads = 3;
+    config.fpga_threads = 2;
+    config.batch_size = 16;
+    config.pipeline = pcfg;
+    ThreadedReport report;
+    const auto got = alignThreaded(ref_, reads, config, &report);
+    const auto after_nt = kernelCallsAndVerdicts();
+
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i].render(), expected[i].render()) << i;
+    const uint64_t calls_1t = after_1t.first - before_1t.first;
+    const uint64_t verdicts_1t = after_1t.second - before_1t.second;
+    EXPECT_GT(verdicts_1t, 0u);
+    EXPECT_GT(calls_1t, verdicts_1t) << "no full-band rerun exercised";
+    EXPECT_EQ(after_nt.first - after_1t.first, calls_1t);
+    EXPECT_EQ(after_nt.second - after_1t.second, verdicts_1t);
+    EXPECT_EQ(report.extensions, verdicts_1t);
 }
 
 // ---------------------------------------------------------- Environment
