@@ -228,7 +228,6 @@ appendThreadingDetail(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("publishes", r.queue.publishes);
     w.kv("claims", r.queue.claims);
     w.kv("wakeups", r.queue.wakeups);
-    w.kv("shards", r.queue.shards);
     w.kv("capacity_batches", r.queue.capacity_batches);
     w.kv("max_depth", r.queue.max_depth);
     w.kv("avg_depth", r.queue.avg_depth);

@@ -122,7 +122,6 @@ appendCell(obs::JsonWriter &json, int threads, size_t batch,
     json.kv("queue_publishes", r.queue.publishes);
     json.kv("queue_claims", r.queue.claims);
     json.kv("queue_wakeups", r.queue.wakeups);
-    json.kv("queue_shards", static_cast<uint64_t>(r.queue.shards));
     json.kv("queue_max_depth", r.queue.max_depth);
     json.kv("reorder_max_pending", r.reorder.max_pending);
     json.endObject();

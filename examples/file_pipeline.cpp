@@ -9,8 +9,7 @@
  * written the moment the reorder buffer retires them, in input order,
  * without buffering the run.
  *
- * Thread/batch knobs come from the environment (SEEDEX_THREADS,
- * SEEDEX_BATCH, SEEDEX_QUEUE_CAP, SEEDEX_QUEUE_SHARDS — see README).
+ * The thread count comes from SEEDEX_THREADS (see README).
  *
  * Usage: file_pipeline [workdir] [reads]
  */
@@ -67,7 +66,7 @@ main(int argc, char **argv)
 
     ThreadedConfig config;
     config.pipeline.engine = EngineKind::SeedEx;
-    config.applyEnv(); // SEEDEX_THREADS / SEEDEX_BATCH / queue knobs
+    config.applyEnv(); // SEEDEX_THREADS
 
     std::ofstream sam(dir + "/out.sam");
     sam << "@HD\tVN:1.6\tSO:unsorted\n";

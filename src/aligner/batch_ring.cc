@@ -1,7 +1,6 @@
 #include "aligner/batch_ring.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,11 +37,6 @@ ringMetrics()
     static RingMetrics metrics;
     return metrics;
 }
-
-/** How long a consumer naps on its home shard before rescanning the
- *  others (sharded configuration only; single-shard waits are purely
- *  notification driven). */
-constexpr std::chrono::microseconds kShardNap{500};
 
 } // namespace
 
@@ -91,149 +85,90 @@ BatchPool::release(SeededBatch *batch)
 
 // ------------------------------------------------------------- BatchRing
 
-BatchRing::BatchRing(size_t capacity_per_shard, size_t shards)
-    : capacity_(std::max<size_t>(1, capacity_per_shard))
-{
-    shards = std::max<size_t>(1, shards);
-    shards_.reserve(shards);
-    for (size_t i = 0; i < shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->ring.assign(capacity_, nullptr);
-        shards_.push_back(std::move(shard));
-    }
-}
-
-size_t
-BatchRing::totalCount() const
-{
-    size_t total = 0;
-    for (const auto &s : shards_)
-        total += s->count.load(std::memory_order_acquire);
-    return total;
-}
+BatchRing::BatchRing(size_t capacity)
+    : ring_(std::max<size_t>(1, capacity), nullptr)
+{}
 
 void
 BatchRing::recordDepth(bool published)
 {
-    const auto depth = static_cast<int64_t>(totalCount());
+    const auto depth = static_cast<int64_t>(count_);
     ringMetrics().depth.set(depth);
     obs::TraceSession::global().counter("threaded.queue.depth",
                                         static_cast<double>(depth));
     if (published) {
         depth_sum_.fetch_add(static_cast<uint64_t>(depth),
                              std::memory_order_relaxed);
-        int64_t cur = depth_max_.load(std::memory_order_relaxed);
-        while (depth > cur &&
-               !depth_max_.compare_exchange_weak(
-                   cur, depth, std::memory_order_relaxed))
-            ;
+        if (depth > depth_max_.load(std::memory_order_relaxed))
+            depth_max_.store(depth, std::memory_order_relaxed);
     }
 }
 
 void
-BatchRing::push(SeededBatch *batch, size_t producer)
+BatchRing::push(SeededBatch *batch)
 {
-    Shard &s = *shards_[producer % shards_.size()];
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (s.count.load(std::memory_order_relaxed) >= capacity_) {
-        ++s.waiting_producers;
-        s.not_full.wait(lock, [&] {
-            return s.count.load(std::memory_order_relaxed) < capacity_;
-        });
-        --s.waiting_producers;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (count_ >= ring_.size()) {
+        ++waiting_producers_;
+        not_full_.wait(lock, [&] { return count_ < ring_.size(); });
+        --waiting_producers_;
     }
-    const size_t count = s.count.load(std::memory_order_relaxed);
-    s.ring[(s.head + count) % capacity_] = batch;
-    s.count.store(count + 1, std::memory_order_release);
+    ring_[(head_ + count_) % ring_.size()] = batch;
+    ++count_;
     publishes_.fetch_add(1, std::memory_order_relaxed);
     ringMetrics().publishes.inc();
     recordDepth(/*published=*/true);
     // At most one notify per publish, and only when someone is parked
     // (the wakeup audit this ring exists for).
-    const bool wake = s.waiting_consumers > 0;
+    const bool wake = waiting_consumers_ > 0;
     if (wake) {
         wakeups_.fetch_add(1, std::memory_order_relaxed);
         ringMetrics().wakeups.inc();
     }
     lock.unlock();
     if (wake)
-        s.not_empty.notify_one();
+        not_empty_.notify_one();
 }
 
 SeededBatch *
-BatchRing::takeLocked(Shard &s, std::unique_lock<std::mutex> &lock)
+BatchRing::pop()
 {
-    const size_t count = s.count.load(std::memory_order_relaxed);
-    if (count == 0)
-        return nullptr;
-    SeededBatch *batch = s.ring[s.head];
-    s.head = (s.head + 1) % capacity_;
-    s.count.store(count - 1, std::memory_order_release);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (count_ == 0 && !closed_) {
+        ++waiting_consumers_;
+        not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
+        --waiting_consumers_;
+    }
+    if (count_ == 0)
+        return nullptr; // closed and drained
+    SeededBatch *batch = ring_[head_];
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
     claims_.fetch_add(1, std::memory_order_relaxed);
     ringMetrics().claims.inc();
     recordDepth(/*published=*/false);
-    const bool wake = s.waiting_producers > 0;
+    const bool wake = waiting_producers_ > 0;
     if (wake) {
         wakeups_.fetch_add(1, std::memory_order_relaxed);
         ringMetrics().wakeups.inc();
     }
     lock.unlock();
     if (wake)
-        s.not_full.notify_one();
+        not_full_.notify_one();
     return batch;
-}
-
-SeededBatch *
-BatchRing::pop(size_t consumer)
-{
-    const size_t n = shards_.size();
-    const size_t home = consumer % n;
-    for (;;) {
-        // Scan every shard, home first; the lock-free count peek keeps
-        // foreign shards untouched when they are empty.
-        for (size_t k = 0; k < n; ++k) {
-            Shard &s = *shards_[(home + k) % n];
-            if (s.count.load(std::memory_order_acquire) == 0)
-                continue;
-            std::unique_lock<std::mutex> lock(s.mutex);
-            if (SeededBatch *batch = takeLocked(s, lock))
-                return batch;
-        }
-        if (closed_.load(std::memory_order_acquire) && totalCount() == 0)
-            return nullptr;
-        Shard &s = *shards_[home];
-        std::unique_lock<std::mutex> lock(s.mutex);
-        if (s.count.load(std::memory_order_relaxed) == 0 &&
-            !closed_.load(std::memory_order_relaxed)) {
-            ++s.waiting_consumers;
-            const auto ready = [&] {
-                return s.count.load(std::memory_order_relaxed) > 0 ||
-                       closed_.load(std::memory_order_relaxed);
-            };
-            if (n == 1)
-                s.not_empty.wait(lock, ready);
-            else
-                // Nap, then rescan: a foreign-shard publish does not
-                // notify this shard, so bound the sleep instead.
-                s.not_empty.wait_for(lock, kShardNap, ready);
-            --s.waiting_consumers;
-        }
-        if (SeededBatch *batch = takeLocked(s, lock))
-            return batch;
-    }
 }
 
 void
 BatchRing::close()
 {
-    closed_.store(true, std::memory_order_release);
-    for (auto &s : shards_) {
-        { std::lock_guard<std::mutex> lock(s->mutex); }
-        // Shutdown broadcast: deliberately not counted as wakeups (the
-        // audited invariant covers steady-state publishes/claims).
-        s->not_empty.notify_all();
-        s->not_full.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        closed_ = true;
     }
+    // Shutdown broadcast: deliberately not counted as wakeups (the
+    // audited invariant covers steady-state publishes/claims).
+    not_empty_.notify_all();
+    not_full_.notify_all();
 }
 
 int64_t

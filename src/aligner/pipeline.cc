@@ -288,12 +288,6 @@ Aligner::alignBatch(
     std::vector<SamRecord> records;
     records.reserve(reads.size());
     const size_t batch = seedBatchSize();
-    if (batch <= 1) {
-        for (const auto &[name, seq] : reads)
-            records.push_back(alignRead(name, seq, stats, capture));
-        return records;
-    }
-
     SeedWorkspace &ws = SeedWorkspace::tls();
     std::vector<const Sequence *> queries(batch);
     std::vector<std::vector<Seed>> seeds(batch);

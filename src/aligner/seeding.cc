@@ -1,7 +1,6 @@
 #include "aligner/seeding.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 
@@ -97,14 +96,7 @@ SeedWorkspace::tls()
 size_t
 seedBatchSize()
 {
-    static const size_t cached = [] {
-        const char *env = std::getenv("SEEDEX_SEED_BATCH");
-        if (env == nullptr || *env == '\0')
-            return size_t{16};
-        const long v = std::atol(env);
-        return static_cast<size_t>(std::clamp(v, 1L, 256L));
-    }();
-    return cached;
+    return 16;
 }
 
 void

@@ -62,19 +62,9 @@ threadedProfiles()
     return profiles;
 }
 
-/** Positive integer environment knob; `fallback` when unset/garbage. */
-long
-envLong(const char *name, long fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || n <= 0)
-        return fallback;
-    return n;
-}
+/** Hand-off ring capacity in whole batches: enough producer slack to
+ *  ride out a slow slab, small enough to bound in-flight memory. */
+constexpr size_t kRingCapacity = 8;
 
 } // namespace
 
@@ -89,15 +79,13 @@ ThreadedConfig::setTotalThreads(long total)
 void
 ThreadedConfig::applyEnv()
 {
-    const long threads = envLong("SEEDEX_THREADS", 0);
-    if (threads > 0)
+    const char *v = std::getenv("SEEDEX_THREADS");
+    if (v == nullptr)
+        return;
+    char *end = nullptr;
+    const long threads = std::strtol(v, &end, 10);
+    if (end != v && threads > 0)
         setTotalThreads(threads);
-    batch_size = static_cast<size_t>(
-        envLong("SEEDEX_BATCH", static_cast<long>(batch_size)));
-    queue_capacity = static_cast<size_t>(
-        envLong("SEEDEX_QUEUE_CAP", static_cast<long>(queue_capacity)));
-    queue_shards = static_cast<int>(
-        envLong("SEEDEX_QUEUE_SHARDS", static_cast<long>(queue_shards)));
 }
 
 namespace {
@@ -139,24 +127,16 @@ runThreadedPipeline(const Sequence &reference,
         batch_size += batch_size & 1;
     const int n_producers = std::max(1, config.seeding_threads);
     const int n_consumers = std::max(1, config.fpga_threads);
-    size_t shards = config.queue_shards > 0
-        ? static_cast<size_t>(config.queue_shards)
-        : (n_producers <= 3
-               ? 1
-               : std::min<size_t>(4,
-                                  static_cast<size_t>(n_producers) / 2));
-    shards = std::min<size_t>(shards, static_cast<size_t>(n_producers));
-    const size_t capacity = std::max<size_t>(1, config.queue_capacity);
 
     // In-flight bound: every batch is either unpushed in a producer, in
     // the ring, or claimed by a consumer. The pool free list is sized to
     // it so it never regrows, and the reorder window is at least as
     // large so producer-side reserve() admits the whole in-flight set.
-    const size_t inflight_bound = shards * capacity +
+    const size_t inflight_bound = kRingCapacity +
         static_cast<size_t>(n_producers) +
         static_cast<size_t>(n_consumers) + 2;
 
-    BatchRing ring(capacity, shards);
+    BatchRing ring(kRingCapacity);
     BatchPool pool(inflight_bound, batch_size);
     ReorderBuffer reorder(
         inflight_bound,
@@ -223,7 +203,7 @@ runThreadedPipeline(const Sequence &reference,
         }
     };
 
-    auto seeding_worker = [&](size_t producer_id) {
+    auto seeding_worker = [&] {
         SeedWorkspace &ws = SeedWorkspace::tls();
         ChainWorkspace &cws = ChainWorkspace::tls();
         std::vector<const Sequence *> queries(seed_chunk);
@@ -248,8 +228,8 @@ runThreadedPipeline(const Sequence &reference,
                 // construction, so consumers never block in
                 // reorder.complete() and always drain the ring (a
                 // consumer parked at the window edge while the head
-                // batch sat unclaimed in another shard would deadlock
-                // the run).
+                // batch sat unclaimed in the ring would deadlock the
+                // run).
                 reorder.reserve(base / batch_size);
                 batch = pool.acquire();
                 batch->seq = base / batch_size;
@@ -302,7 +282,7 @@ runThreadedPipeline(const Sequence &reference,
                 }
             }
             seed_slab(batch, queries, seeds, ws, cws);
-            ring.push(batch, producer_id);
+            ring.push(batch);
         }
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
@@ -311,7 +291,7 @@ runThreadedPipeline(const Sequence &reference,
 
     // ---- Consumers: FPGA threads. Every read of a claimed slab runs
     // through the Aligner's own per-read body (alignChains).
-    auto fpga_worker = [&](size_t consumer_id) {
+    auto fpga_worker = [&] {
         // One engine per consumer, built exactly as the Aligner builds
         // its own; it extends chains and rescues mates alike. Engine
         // state (band-predictor history, filter tallies) depends on how
@@ -337,7 +317,7 @@ runThreadedPipeline(const Sequence &reference,
             config.paired ? batch_size : 0);
         const double cpu_begin = threadCpuSeconds();
         for (;;) {
-            SeededBatch *claimed = ring.pop(consumer_id);
+            SeededBatch *claimed = ring.pop();
             if (claimed == nullptr)
                 break;
             SeededBatch &batch = *claimed;
@@ -427,12 +407,11 @@ runThreadedPipeline(const Sequence &reference,
 
     std::vector<std::thread> workers;
     for (int t = 0; t < n_consumers; ++t)
-        workers.emplace_back(fpga_worker, static_cast<size_t>(t));
+        workers.emplace_back(fpga_worker);
     {
         std::vector<std::thread> producers;
         for (int t = 0; t < n_producers; ++t)
-            producers.emplace_back(seeding_worker,
-                                   static_cast<size_t>(t));
+            producers.emplace_back(seeding_worker);
         for (std::thread &t : producers)
             t.join();
         ring.close();
@@ -471,8 +450,7 @@ runThreadedPipeline(const Sequence &reference,
         report->queue.publishes = ring.publishes();
         report->queue.claims = ring.claims();
         report->queue.wakeups = ring.wakeups();
-        report->queue.shards = ring.shardCount();
-        report->queue.capacity_batches = ring.capacityPerShard();
+        report->queue.capacity_batches = ring.capacity();
         report->queue.max_depth = ring.maxDepth();
         report->queue.avg_depth = ring.avgDepth();
         report->pool.hits = pool.hits();

@@ -27,13 +27,10 @@ struct ThreadedConfig
     int seeding_threads = 3;
     /** Consumer threads driving the FPGA (load-balancing knob, §V-B). */
     int fpga_threads = 2;
-    /** Reads per FPGA batch (= per published slab). */
+    /** Reads per FPGA batch (= per published slab). Not a user knob:
+     *  tests set it small to push many slabs through the reorder
+     *  window. */
     size_t batch_size = 64;
-    /** Hand-off ring capacity, in whole batches per shard. */
-    size_t queue_capacity = 8;
-    /** Ring shards; 0 = auto (single shard up to 3 producers, then one
-     *  per two producers, capped at 4). */
-    int queue_shards = 0;
     PipelineConfig pipeline;
 
     /**
@@ -60,11 +57,9 @@ struct ThreadedConfig
     void setTotalThreads(long total);
 
     /**
-     * Fold the environment knobs into this config (README "Threading
-     * knobs"): SEEDEX_THREADS (total worker threads, split by
-     * setTotalThreads), SEEDEX_BATCH, SEEDEX_QUEUE_CAP,
-     * SEEDEX_QUEUE_SHARDS. Unset or unparsable variables leave the
-     * current values untouched.
+     * Fold SEEDEX_THREADS (total worker threads, split by
+     * setTotalThreads) into this config. An unset or unparsable value
+     * leaves the current split untouched.
      */
     void applyEnv();
 };
@@ -100,7 +95,6 @@ struct ThreadedReport
         uint64_t publishes = 0;
         uint64_t claims = 0;
         uint64_t wakeups = 0;
-        uint64_t shards = 0;
         uint64_t capacity_batches = 0;
         int64_t max_depth = 0;
         double avg_depth = 0;

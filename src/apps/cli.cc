@@ -63,12 +63,6 @@ const char kUsage[] =
     "(SEEDEX_BAND_LADDER)\n"
     "  --threads=N         total worker threads (SEEDEX_THREADS), split\n"
     "                      3:1 seeding:extension; 1 = single-threaded\n"
-    "  --batch=N           reads per pipeline batch (SEEDEX_BATCH)\n"
-    "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
-    "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
-    "  --kernel=NAME       scalar | sse | avx2 (SEEDEX_KERNEL)\n"
-    "  --fm-layout=NAME    naive | packed (SEEDEX_FM_LAYOUT)\n"
-    "  --kmer=K            seed k-mer table size (SEEDEX_SEED_KMER)\n"
     "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
     "  --trace-out=FILE    Chrome trace (SEEDEX_TRACE)\n"
     "  --ledger-out=FILE   per-read provenance JSONL (SEEDEX_LEDGER_OUT)\n"
@@ -80,10 +74,7 @@ const char kUsage[] =
     "  --read-length=N     read length in bases             [101]\n"
     "  --seed=N            random seed                      [20200613]\n"
     "  --paired            write FR mate files <prefix>_1.fq/_2.fq\n"
-    "  --insert-mean=F / --insert-sd=F  fragment model      [400 / 50]\n"
-    "\n"
-    "index options:\n"
-    "  --kmer=K            seed k-mer table size baked at load time\n";
+    "  --insert-mean=F / --insert-sd=F  fragment model      [400 / 50]\n";
 
 /** Parsed command line: positional operands plus --name[=value] flags
  *  (`-o FILE` is folded into flags["-o"]). */
@@ -177,16 +168,6 @@ parseArgs(int argc, char **argv, int first,
     return args;
 }
 
-/** Forward a CLI flag into the env knob the subsystem reads lazily
- *  (kernel dispatch, FM layout, and the k-mer table are all resolved
- *  on first use, so setting the variable up front is equivalent). */
-void
-exportKnob(const Args &args, const std::string &flag, const char *env)
-{
-    if (args.has(flag))
-        setenv(env, args.get(flag).c_str(), 1);
-}
-
 /** First whitespace-delimited token of a FASTA name: the @SQ SN: key
  *  (SN values must be whitespace-free per the SAM spec). */
 std::string
@@ -277,13 +258,11 @@ joinArgv(int argc, char **argv)
 int
 cmdIndex(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv, 2, {"--kmer", "--fm-layout"});
+    const Args args = parseArgs(argc, argv, 2, {});
     if (args.positional.size() != 1)
         throw UsageError("index expects exactly one reference FASTA");
     if (!args.has("-o"))
         throw UsageError("index requires -o <ref.sdx>");
-    exportKnob(args, "--kmer", "SEEDEX_SEED_KMER");
-    exportKnob(args, "--fm-layout", "SEEDEX_FM_LAYOUT");
 
     Reference ref = loadFasta(args.positional[0]);
     Stopwatch watch;
@@ -310,10 +289,9 @@ cmdAlign(int argc, char **argv)
     const Args args = parseArgs(
         argc, argv, 2,
         {"--engine", "--band", "--band-policy", "--band-ladder",
-         "--threads", "--batch", "--queue-cap", "--queue-shards",
-         "--kernel", "--fm-layout", "--kmer", "--metrics-out",
-         "--trace-out", "--ledger-out", "--ledger-sample", "--interleaved",
-         "--insert-mean", "--insert-sd", "--no-rescue"},
+         "--threads", "--metrics-out", "--trace-out", "--ledger-out",
+         "--ledger-sample", "--interleaved", "--insert-mean", "--insert-sd",
+         "--no-rescue"},
         {"-o", "-1", "-2"});
 
     // Paired-end input shape: -1/-2 (two files, no reads operand) or
@@ -336,9 +314,6 @@ cmdAlign(int argc, char **argv)
          args.has("--no-rescue")))
         throw UsageError("--insert-mean/--insert-sd/--no-rescue require "
                          "paired input (-1/-2 or --interleaved)");
-    exportKnob(args, "--kernel", "SEEDEX_KERNEL");
-    exportKnob(args, "--fm-layout", "SEEDEX_FM_LAYOUT");
-    exportKnob(args, "--kmer", "SEEDEX_SEED_KMER");
 
     const std::string reads_path =
         args.has("-1") ? std::string() : args.positional[1];
@@ -390,21 +365,14 @@ cmdAlign(int argc, char **argv)
         }
     }
 
-    // Threading shape: env knobs first (ThreadedConfig::applyEnv), then
-    // flags override. --threads picks the paper's 3:1 split.
+    // Threading shape: --threads beats SEEDEX_THREADS, which beats 1;
+    // the total is split by the paper's 3:1 rule.
     ThreadedConfig tconfig;
-    tconfig.applyEnv();
     long threads = 1;
     if (const char *v = std::getenv("SEEDEX_THREADS"))
         threads = std::max(1L, std::strtol(v, nullptr, 10));
     threads = std::max(1L, args.getLong("--threads", threads));
     tconfig.setTotalThreads(threads);
-    tconfig.batch_size = static_cast<size_t>(args.getLong(
-        "--batch", static_cast<long>(tconfig.batch_size)));
-    tconfig.queue_capacity = static_cast<size_t>(args.getLong(
-        "--queue-cap", static_cast<long>(tconfig.queue_capacity)));
-    tconfig.queue_shards = static_cast<int>(args.getLong(
-        "--queue-shards", tconfig.queue_shards));
 
     const bool threaded = threads > 1;
 

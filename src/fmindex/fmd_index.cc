@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <string>
 
 #include "fmindex/suffix_array.h"
 
@@ -83,24 +81,6 @@ locateScratch()
 }
 
 } // namespace
-
-FmdIndexOptions
-FmdIndexOptions::fromEnv()
-{
-    FmdIndexOptions opts;
-    if (const char *layout = std::getenv("SEEDEX_FM_LAYOUT")) {
-        if (std::string(layout) == "naive")
-            opts.layout = FmLayout::Naive;
-    }
-    if (const char *kmer = std::getenv("SEEDEX_SEED_KMER")) {
-        const std::string v(kmer);
-        if (v == "0" || v == "off")
-            opts.kmer_k = 0;
-        else if (!v.empty())
-            opts.kmer_k = std::clamp(std::atoi(kmer), 1, 12);
-    }
-    return opts;
-}
 
 FmdThreadCounters &
 FmdIndex::threadCounters()
@@ -503,7 +483,7 @@ FmdIndex::save(std::ostream &os) const
 }
 
 std::unique_ptr<FmdIndex>
-FmdIndex::load(std::istream &is, int kmer_k)
+FmdIndex::load(std::istream &is)
 {
     uint64_t magic = 0;
     uint32_t version = 0;
@@ -551,10 +531,8 @@ FmdIndex::load(std::istream &is, int kmer_k)
         }
     }
     idx->buildSaMarkRank();
-    const int k = kmer_k < 0 ? KmerTable::defaultK(idx->ref_len_)
-                             : std::min(kmer_k, 12);
-    if (k > 0)
-        idx->kmer_table_ = std::make_unique<KmerTable>(*idx, k);
+    idx->kmer_table_ = std::make_unique<KmerTable>(
+        *idx, KmerTable::defaultK(idx->ref_len_));
     return idx;
 }
 

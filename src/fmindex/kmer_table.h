@@ -26,7 +26,8 @@ struct FmdInterval;
  * Storage is sum over l=1..k of 4^l entries of 24 bytes. The default k
  * adapts to the genome so the table stays a fraction of the index
  * (examples: ~3 kbp test genome -> k=5, ~1 KiB; 10 Mbp -> k=10,
- * ~33 MiB). `SEEDEX_SEED_KMER` overrides (0 disables).
+ * ~33 MiB). Production always builds the default-k table; only an
+ * explicit FmdIndexOptions::kmer_k (tests, bench_seed) picks another.
  */
 class KmerTable
 {

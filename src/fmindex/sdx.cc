@@ -116,7 +116,7 @@ saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
 }
 
 SdxData
-loadSdx(const std::string &path, int kmer_k)
+loadSdx(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -188,7 +188,7 @@ loadSdx(const std::string &path, int kmer_k)
 
     MemBuf idx_buf(cur.p, cur.left);
     std::istream idx_stream(&idx_buf);
-    data.index = FmdIndex::load(idx_stream, kmer_k);
+    data.index = FmdIndex::load(idx_stream);
     if (!data.index)
         failCorrupt(path, "corrupt index (malformed FM-index payload)");
     if (data.index->referenceLength() != ref_len)

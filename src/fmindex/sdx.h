@@ -69,10 +69,10 @@ void saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
 
 /**
  * Read and verify a container. The whole file is checksummed before any
- * field is trusted; `kmer_k` is forwarded to FmdIndex::load (the k-mer
- * table is rebuilt at load, not stored). Throws SdxError on any failure.
+ * field is trusted; the k-mer table is rebuilt at load from the genome
+ * size, not stored. Throws SdxError on any failure.
  */
-SdxData loadSdx(const std::string &path, int kmer_k = -1);
+SdxData loadSdx(const std::string &path);
 
 /** Cheap sniff: does `path` start with the `.sdx` magic? (Lets the CLI
  *  accept either a prebuilt index or a plain FASTA reference.) */

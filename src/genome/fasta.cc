@@ -89,6 +89,8 @@ writeFastaFile(const std::string &path,
     if (!out)
         throw std::runtime_error("cannot open FASTA file: " + path);
     writeFasta(out, records);
+    if (!out.flush())
+        throw std::runtime_error(path + ": write failed");
 }
 
 void
@@ -99,6 +101,8 @@ writeFastqFile(const std::string &path,
     if (!out)
         throw std::runtime_error("cannot open FASTQ file: " + path);
     writeFastq(out, records);
+    if (!out.flush())
+        throw std::runtime_error(path + ": write failed");
 }
 
 } // namespace seedex

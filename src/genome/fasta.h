@@ -37,7 +37,8 @@ void writeFasta(std::ostream &out, const std::vector<FastaRecord> &records);
 /** Write FASTQ records. */
 void writeFastq(std::ostream &out, const std::vector<FastqRecord> &records);
 
-/** File-path conveniences. Throw std::runtime_error if unopenable. */
+/** File-path conveniences. Throw std::runtime_error if unopenable,
+ *  and the writers also if any write fails (`<path>: write failed`). */
 std::vector<FastaRecord> readFastaFile(const std::string &path);
 std::vector<FastqRecord> readFastqFile(const std::string &path);
 void writeFastaFile(const std::string &path,

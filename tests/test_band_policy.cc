@@ -70,6 +70,16 @@ void operator delete(void *p, size_t) noexcept { std::free(p); }
 void operator delete[](void *p, size_t) noexcept { std::free(p); }
 void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace seedex {
 namespace {

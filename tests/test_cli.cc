@@ -438,6 +438,18 @@ TEST(CliErrors, UsageErrorsExitTwo)
     // --threads is the only thread-shape flag; the split is fixed 3:1.
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--seeding-threads=2"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--fpga-threads=2"}), 2);
+    // Seeding and hand-off tuning flags are gone: production runs one
+    // measured FM-index path and one ring.
+    for (const char *flag :
+         {"--batch=16", "--queue-cap=2", "--queue-shards=3",
+          "--kernel=scalar", "--fm-layout=naive", "--kmer=0"})
+        EXPECT_EQ(cli({"seedex", "align", "a", "b", flag}), 2) << flag;
+    EXPECT_EQ(cli({"seedex", "index", "ref.fa", "-o", "ref.sdx",
+                   "--fm-layout=naive"}),
+              2);
+    EXPECT_EQ(cli({"seedex", "index", "ref.fa", "-o", "ref.sdx",
+                   "--kmer=0"}),
+              2);
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }
@@ -599,6 +611,26 @@ TEST_F(CliPrecedence, BadPolicyValuesAreUsageErrors)
 }
 
 // ---- unmapped-record SAM fields ----------------------------------------
+
+TEST(CliSeedingEnv, RemovedSeedingKnobsChangeNothing)
+{
+    // The layout and k-mer variables are no longer read anywhere: a
+    // default index is the packed, k-mer-seeded production index, and
+    // `seedex index` writes the same bytes with or without them.
+    const Workload w = buildWorkload("seedenv", 1);
+    const std::string plain = tempPath("seedenv_plain.sdx");
+    const std::string knobbed = tempPath("seedenv_knobbed.sdx");
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", plain}), 0);
+
+    ScopedEnv layout("SEEDEX_FM_LAYOUT", "naive");
+    ScopedEnv kmer("SEEDEX_SEED_KMER", "0");
+    const FmdIndex index(w.reference);
+    EXPECT_EQ(index.layout(), FmLayout::Packed);
+    EXPECT_NE(index.kmerTable(), nullptr);
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", knobbed}), 0);
+    EXPECT_TRUE(slurp(plain) == slurp(knobbed))
+        << "index bytes depend on the environment";
+}
 
 TEST(SamSpec, UnmappedRecordFields)
 {

@@ -125,6 +125,18 @@ TEST(Fastq, RejectsQualityLengthMismatch)
     EXPECT_THROW(readFastq(buf), std::runtime_error);
 }
 
+TEST(FastxFiles, WriteFailureThrowsInsteadOfTruncating)
+{
+    // /dev/full opens fine and fails every write (ENOSPC): the writers
+    // must report it, not leave a silently short file behind.
+    const std::vector<FastaRecord> fasta{
+        {"chr", Sequence::fromString("ACGTACGTAC")}};
+    const std::vector<FastqRecord> fastq{
+        {"r1", Sequence::fromString("ACGT"), "IIII"}};
+    EXPECT_THROW(writeFastaFile("/dev/full", fasta), std::runtime_error);
+    EXPECT_THROW(writeFastqFile("/dev/full", fastq), std::runtime_error);
+}
+
 TEST(Reference, GeneratesRequestedLengthWithoutN)
 {
     Rng rng(1);

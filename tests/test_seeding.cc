@@ -302,8 +302,7 @@ TEST_F(SeedingDifferential, SerializationRoundTripsBothLayouts)
          {&set_->naive_plain, &set_->packed_kmer}) {
         std::stringstream ss;
         ASSERT_TRUE(index->save(ss));
-        const auto loaded = FmdIndex::load(
-            ss, index->kmerTable() ? index->kmerTable()->k() : 0);
+        const auto loaded = FmdIndex::load(ss);
         ASSERT_NE(loaded, nullptr);
         EXPECT_EQ(loaded->layout(), index->layout());
         EXPECT_EQ(loaded->referenceLength(), index->referenceLength());

@@ -89,46 +89,29 @@ namespace {
 
 TEST(BatchRing, SingleShardFifoAndDrain)
 {
-    BatchRing ring(4, 1);
+    BatchRing ring(4);
     SeededBatch a, b, c;
-    ring.push(&a, 0);
-    ring.push(&b, 0);
-    ring.push(&c, 0);
-    EXPECT_EQ(ring.pop(0), &a);
-    EXPECT_EQ(ring.pop(0), &b);
+    ring.push(&a);
+    ring.push(&b);
+    ring.push(&c);
+    EXPECT_EQ(ring.pop(), &a);
+    EXPECT_EQ(ring.pop(), &b);
     ring.close();
-    EXPECT_EQ(ring.pop(0), &c);
-    EXPECT_EQ(ring.pop(0), nullptr);
+    EXPECT_EQ(ring.pop(), &c);
+    EXPECT_EQ(ring.pop(), nullptr);
     EXPECT_EQ(ring.publishes(), 3u);
     EXPECT_EQ(ring.claims(), 3u);
-}
-
-TEST(BatchRing, ShardedDeliveryReachesEveryConsumer)
-{
-    // Batches pushed to foreign shards must still be claimable by a
-    // consumer homed elsewhere (the nap-and-rescan path).
-    BatchRing ring(2, 4);
-    std::vector<SeededBatch> batches(8);
-    for (size_t p = 0; p < 8; ++p)
-        ring.push(&batches[p], p); // lands on shard p % 4
-    ring.close();
-    std::vector<SeededBatch *> got;
-    while (SeededBatch *x = ring.pop(/*consumer=*/1))
-        got.push_back(x);
-    EXPECT_EQ(got.size(), batches.size());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
 }
 
 TEST(BatchRing, WakeupsBoundedByPublishesPlusClaims)
 {
     // Uncontended single-threaded use: nobody ever waits, so not a
     // single notify should fire.
-    BatchRing ring(2, 1);
+    BatchRing ring(2);
     SeededBatch a;
     for (int i = 0; i < 10; ++i) {
-        ring.push(&a, 0);
-        EXPECT_EQ(ring.pop(0), &a);
+        ring.push(&a);
+        EXPECT_EQ(ring.pop(), &a);
     }
     EXPECT_EQ(ring.wakeups(), 0u);
     EXPECT_LE(ring.wakeups(), ring.publishes() + ring.claims());
@@ -136,15 +119,15 @@ TEST(BatchRing, WakeupsBoundedByPublishesPlusClaims)
 
 TEST(BatchRing, BlockedProducerAndConsumerMakeProgress)
 {
-    BatchRing ring(1, 1); // capacity 1: producer must block
+    BatchRing ring(1); // capacity 1: producer must block
     std::vector<SeededBatch> batches(64);
     std::vector<SeededBatch *> got;
     std::thread consumer([&] {
-        while (SeededBatch *x = ring.pop(0))
+        while (SeededBatch *x = ring.pop())
             got.push_back(x);
     });
     for (size_t i = 0; i < batches.size(); ++i)
-        ring.push(&batches[i], 0);
+        ring.push(&batches[i]);
     ring.close();
     consumer.join();
     ASSERT_EQ(got.size(), batches.size());
@@ -248,7 +231,7 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
     ChainingParams params;
     ChainWorkspace ws;
     BatchPool pool(4, kReads);
-    BatchRing ring(4, 1);
+    BatchRing ring(4);
     auto cycle = [&] {
         SeededBatch *batch = pool.acquire();
         batch->seq = 0;
@@ -264,8 +247,8 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
                 chainSeedsInto(seeds[i], params, ws, item.chains);
             item.read->reverseComplementInto(item.reverse_complement);
         }
-        ring.push(batch, 0);
-        SeededBatch *claimed = ring.pop(0);
+        ring.push(batch);
+        SeededBatch *claimed = ring.pop();
         ASSERT_EQ(claimed, batch);
         pool.release(claimed);
     };
@@ -323,8 +306,6 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     config.seeding_threads = 8;
     config.fpga_threads = 8;
     config.batch_size = 32;
-    config.queue_capacity = 4;
-    config.queue_shards = 4;
     config.pipeline.engine = EngineKind::SeedEx;
     ThreadedReport report;
     std::vector<SamRecord> got;
@@ -360,7 +341,8 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     EXPECT_GT(report.pool.hitRate(), 0.5);
     EXPECT_LE(report.queue.wakeups,
               report.queue.publishes + report.queue.claims);
-    EXPECT_EQ(report.queue.shards, 4u);
+    EXPECT_LE(report.queue.max_depth,
+              static_cast<int64_t>(report.queue.capacity_batches));
     EXPECT_GT(report.producer_cpu_seconds, 0.0);
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
 }
@@ -421,21 +403,18 @@ TEST(ThreadedConfigEnv, KnobsApplyAndGarbageIsIgnored)
 {
     ThreadedConfig config;
     setenv("SEEDEX_THREADS", "8", 1);
-    setenv("SEEDEX_BATCH", "32", 1);
-    setenv("SEEDEX_QUEUE_CAP", "5", 1);
-    setenv("SEEDEX_QUEUE_SHARDS", "2", 1);
     config.applyEnv();
     EXPECT_EQ(config.seeding_threads, 6); // 3:1 split of 8
     EXPECT_EQ(config.fpga_threads, 2);
-    EXPECT_EQ(config.batch_size, 32u);
-    EXPECT_EQ(config.queue_capacity, 5u);
-    EXPECT_EQ(config.queue_shards, 2);
 
     setenv("SEEDEX_THREADS", "garbage", 1);
-    setenv("SEEDEX_BATCH", "-3", 1);
     config.applyEnv();
     EXPECT_EQ(config.seeding_threads, 6); // unchanged
-    EXPECT_EQ(config.batch_size, 32u);    // unchanged
+    EXPECT_EQ(config.fpga_threads, 2);
+
+    setenv("SEEDEX_THREADS", "-3", 1);
+    config.applyEnv();
+    EXPECT_EQ(config.seeding_threads, 6); // unchanged
 
     setenv("SEEDEX_THREADS", "1", 1);
     config.applyEnv();
@@ -443,9 +422,6 @@ TEST(ThreadedConfigEnv, KnobsApplyAndGarbageIsIgnored)
     EXPECT_EQ(config.fpga_threads, 1);
 
     unsetenv("SEEDEX_THREADS");
-    unsetenv("SEEDEX_BATCH");
-    unsetenv("SEEDEX_QUEUE_CAP");
-    unsetenv("SEEDEX_QUEUE_SHARDS");
 }
 
 } // namespace

@@ -321,10 +321,9 @@ assert queue["publishes"] == queue["claims"], queue
 # The wakeup-audit invariant: one lock + at most one (counted) notify
 # per publish/claim, so wakeups can never exceed publishes + claims.
 assert queue["wakeups"] <= queue["publishes"] + queue["claims"], queue
-assert queue["shards"] >= 1
 assert queue["capacity_batches"] >= 1
 assert 0 <= queue["avg_depth"] <= queue["max_depth"] <= \
-    queue["shards"] * queue["capacity_batches"], queue
+    queue["capacity_batches"], queue
 
 pool = thr["pool"]
 # Every published batch came from the pool, one way or the other.
