@@ -212,34 +212,21 @@ appendThreadedReport(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("reruns", r.reruns);
 }
 
-/** The hand-off telemetry of the batch ring / slab pool / reorder
- *  buffer (run-report `threading` section, checked by
- *  tools/check_metrics.sh). */
+/** The worker pipeline's shape, CPU split and reorder telemetry
+ *  (run-report `threading` section, checked by tools/check_metrics.sh). */
 inline void
 appendThreadingDetail(obs::JsonWriter &w, const ThreadedReport &r)
 {
-    w.kv("seeding_threads", static_cast<int64_t>(r.seeding_threads));
-    w.kv("fpga_threads", static_cast<int64_t>(r.fpga_threads));
+    w.kv("threads", static_cast<int64_t>(r.seeding_threads));
     w.kv("batch_size", r.batch_size);
     w.kv("producer_cpu_seconds", r.producer_cpu_seconds);
     w.kv("consumer_cpu_seconds", r.consumer_cpu_seconds);
+    w.kv("max_worker_cpu_seconds", r.max_worker_cpu_seconds);
     w.kv("device_emulation_cpu_seconds", r.device_emulation_cpu_seconds);
-    w.key("queue").beginObject();
-    w.kv("publishes", r.queue.publishes);
-    w.kv("claims", r.queue.claims);
-    w.kv("wakeups", r.queue.wakeups);
-    w.kv("capacity_batches", r.queue.capacity_batches);
-    w.kv("max_depth", r.queue.max_depth);
-    w.kv("avg_depth", r.queue.avg_depth);
-    w.endObject();
-    w.key("pool").beginObject();
-    w.kv("hits", r.pool.hits);
-    w.kv("misses", r.pool.misses);
-    w.kv("hit_rate", r.pool.hitRate());
-    w.endObject();
     w.key("reorder").beginObject();
     w.kv("retired", r.reorder.retired);
     w.kv("max_pending", r.reorder.max_pending);
+    w.kv("window", r.reorder.window);
     w.endObject();
 }
 

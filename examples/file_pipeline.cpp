@@ -5,9 +5,9 @@
  * Writes a synthetic reference to FASTA and simulated reads to FASTQ,
  * then reads both back, aligns with the threaded SeedEx pipeline and
  * streams a SAM file with a header — exercising the genome-I/O
- * substrate and the producer-consumer hand-off end to end. Records are
- * written the moment the reorder buffer retires them, in input order,
- * without buffering the run.
+ * substrate and the worker pipeline end to end. Records are written the
+ * moment the reorder buffer retires them, in input order, without
+ * buffering the run.
  *
  * The thread count comes from SEEDEX_THREADS (see README).
  *
@@ -86,10 +86,8 @@ main(int argc, char **argv)
         &report);
     std::cout << "wrote " << dir << "/out.sam: " << mapped << '/'
               << read_records.size() << " reads mapped by "
-              << report.seeding_threads << " seeding + "
-              << report.fpga_threads << " fpga threads ("
+              << config.workers() << " worker threads ("
               << report.batches << " batches of " << report.batch_size
-              << ", " << report.extensions << " extensions, pool hit rate "
-              << 100.0 * report.pool.hitRate() << "%)\n";
+              << ", " << report.extensions << " extensions)\n";
     return 0;
 }

@@ -41,8 +41,8 @@ struct ChainingParams
 
 /**
  * Reusable chaining scratch: the active-chain window of the greedy
- * grouping pass. One per thread (or per producer); grows to the
- * workload high-water mark, so steady-state chaining performs zero heap
+ * grouping pass. One per thread; grows to the workload high-water
+ * mark, so steady-state chaining performs zero heap
  * allocations (same arena discipline as DpWorkspace / SeedWorkspace).
  */
 struct ChainWorkspace

@@ -86,7 +86,7 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
 
     // Both flanks are bounded by the read length plus the window slack;
     // sizing the thread's workspace here keeps both pipelines (the
-    // Aligner and every threaded consumer) allocation-free in steady
+    // Aligner and every threaded worker) allocation-free in steady
     // state.
     DpWorkspace::tls().prepareExtension(
         oriented_read.size(),

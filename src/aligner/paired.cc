@@ -11,7 +11,7 @@ namespace seedex {
 namespace {
 
 /** Paired-pipeline instruments: one funnel shared by the single-threaded
- *  PairedAligner and the threaded consumers (both finalize pairs through
+ *  PairedAligner and the threaded workers (both finalize pairs through
  *  finalizePair, so the counters reconcile for either path). */
 struct PairedMetrics
 {

@@ -71,7 +71,7 @@ class InsertEstimator
 /**
  * Everything pair finalization needs besides the two records: the
  * shared context both the single-threaded PairedAligner and the
- * threaded consumers build once per run (worker-invariant, so sharing
+ * threaded workers build once per run (worker-invariant, so sharing
  * it cannot make output depend on scheduling).
  */
 struct PairContext
@@ -129,7 +129,7 @@ SamRecord rescueMate(const std::string &name, const Sequence &mate,
  * (FLAG bits, RNEXT/PNEXT, reciprocal TLEN: leftmost mate positive,
  * first-in-pair breaks position ties; cross-contig pairs carry the
  * mate's RNAME and TLEN 0). Both production paths — PairedAligner and
- * the threaded consumers — call exactly this function, which is what
+ * the threaded workers — call exactly this function, which is what
  * makes threaded paired output bit-identical to the oracle.
  * Increments the seedex.paired.* instruments.
  */

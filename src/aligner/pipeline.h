@@ -64,7 +64,7 @@ struct PipelineStats
 };
 
 /** Build the extension engine `config` selects. The single-threaded
- *  Aligner and every threaded consumer build their engines here, so both
+ *  Aligner and every threaded worker build their engines here, so both
  *  pipelines run the same extension code. */
 std::unique_ptr<ExtensionEngine> makeEngine(const PipelineConfig &config);
 
@@ -78,7 +78,7 @@ struct ReadAlignment
 
 /**
  * The per-read body both pipelines share (the Aligner is its N=1 caller;
- * each threaded consumer calls it once per read): extend each of the
+ * each threaded worker calls it once per read): extend each of the
  * first `n_chains` chains with extendChain() through `engine`, keep the
  * best score and the runner-up, and build the SAM record. `rc` is the
  * read's reverse complement, read only for reverse-strand chains. The

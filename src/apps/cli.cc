@@ -1,5 +1,7 @@
 #include "apps/cli.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -61,8 +63,8 @@ const char kUsage[] =
     "  --band-ladder=LIST  comma-separated ascending escalation bands\n"
     "                      for --band-policy=adaptive "
     "(SEEDEX_BAND_LADDER)\n"
-    "  --threads=N         total worker threads (SEEDEX_THREADS), split\n"
-    "                      3:1 seeding:extension; 1 = single-threaded\n"
+    "  --threads=N         worker threads, each seeding and extending its\n"
+    "                      own batches (SEEDEX_THREADS)  [1, max 1024]\n"
     "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
     "  --trace-out=FILE    Chrome trace (SEEDEX_TRACE)\n"
     "  --ledger-out=FILE   per-read provenance JSONL (SEEDEX_LEDGER_OUT)\n"
@@ -115,6 +117,20 @@ struct Args
         if (end == it->second.c_str() || *end != '\0')
             throw UsageError(name + " expects an integer, got '" +
                              it->second + "'");
+        return n;
+    }
+
+    /** getLong, rejecting values outside [lo, hi]. */
+    long
+    getLongIn(const std::string &name, long fallback, long lo,
+              long hi) const
+    {
+        const long n = getLong(name, fallback);
+        if (n < lo || n > hi)
+            throw UsageError(name + " expects an integer in [" +
+                             std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got '" +
+                             get(name) + "'");
         return n;
     }
 
@@ -279,10 +295,6 @@ cmdIndex(int argc, char **argv)
 
 // ---- seedex align -------------------------------------------------------
 
-/** How many reads the single-threaded path pulls per alignBatch call
- *  (bounds memory to one chunk while keeping lockstep seeding fed). */
-constexpr size_t kAlignChunk = 1024;
-
 int
 cmdAlign(int argc, char **argv)
 {
@@ -320,7 +332,7 @@ cmdAlign(int argc, char **argv)
 
     // The insert-size model: explicit flags pin it; otherwise it is
     // bootstrapped from the first pairs (the BWA-MEM recipe) and frozen
-    // before any consumer needs a proper-pair verdict.
+    // before any worker needs a proper-pair verdict.
     const bool insert_override =
         args.has("--insert-mean") || args.has("--insert-sd");
     InsertModel insert_prior;
@@ -338,12 +350,12 @@ cmdAlign(int argc, char **argv)
     // flag beats the SEEDEX_* environment variable, which beats the
     // built-in default (see the README flag table).
     if (args.has("--band")) {
-        pconfig.band =
-            static_cast<int>(args.getLong("--band", pconfig.band));
+        pconfig.band = static_cast<int>(
+            args.getLongIn("--band", pconfig.band, 1, INT_MAX));
     } else if (const char *v = std::getenv("SEEDEX_BAND")) {
         char *end = nullptr;
         const long n = std::strtol(v, &end, 10);
-        if (end != v && *end == '\0' && n > 0)
+        if (end != v && *end == '\0' && n > 0 && n <= INT_MAX)
             pconfig.band = static_cast<int>(n);
     }
     const std::string policy_name =
@@ -365,16 +377,25 @@ cmdAlign(int argc, char **argv)
         }
     }
 
-    // Threading shape: --threads beats SEEDEX_THREADS, which beats 1;
-    // the total is split by the paper's 3:1 rule.
+    // Worker count: --threads beats SEEDEX_THREADS, which beats 1.
+    // Counts above kMaxWorkerThreads are usage errors, caught here
+    // before any input is read or thread started.
     ThreadedConfig tconfig;
-    long threads = 1;
-    if (const char *v = std::getenv("SEEDEX_THREADS"))
-        threads = std::max(1L, std::strtol(v, nullptr, 10));
-    threads = std::max(1L, args.getLong("--threads", threads));
-    tconfig.setTotalThreads(threads);
-
-    const bool threaded = threads > 1;
+    try {
+        tconfig.setTotalThreads(1);
+        if (args.has("--threads"))
+            tconfig.setTotalThreads(args.getLong("--threads", 1));
+        else
+            tconfig.applyEnv();
+    } catch (const std::invalid_argument &e) {
+        throw UsageError(std::string(args.has("--threads")
+                                         ? "--threads: "
+                                         : "SEEDEX_THREADS: ") +
+                         e.what());
+    }
+    const long threads = tconfig.workers();
+    const long ledger_sample =
+        args.getLongIn("--ledger-sample", 1, 1, UINT32_MAX);
 
     // Observability passthrough (same contract as the bench binaries):
     // enabling trace/ledger must happen before the run, writing after.
@@ -387,10 +408,8 @@ cmdAlign(int argc, char **argv)
     if (!trace_out.empty())
         obs::TraceSession::global().enable();
     if (!ledger_out.empty()) {
-        const long sample = std::max(
-            1L, args.getLong("--ledger-sample", 1));
         obs::Ledger::global().clear();
-        obs::Ledger::global().enable(static_cast<uint32_t>(sample));
+        obs::Ledger::global().enable(static_cast<uint32_t>(ledger_sample));
     }
 
     Reference ref = loadReference(args.positional[0]);
@@ -415,6 +434,12 @@ cmdAlign(int argc, char **argv)
     ThreadedReport treport;
     InsertModel insert_model = insert_prior;
     uint64_t insert_observations = 0;
+    const SamSink emit = [&](size_t, SamRecord &&sam) {
+        out << sam.render() << '\n';
+    };
+    // The sources run on worker threads; a parse error they throw ends
+    // the run, and alignThreadedSource rethrows it once every worker
+    // has joined (exit 1 after the records emitted so far).
     if (paired) {
         auto pair_source = interleaved
             ? std::make_unique<PairedReadSource>(reads_path)
@@ -448,121 +473,52 @@ cmdAlign(int argc, char **argv)
         const PairContext ctx{ref.seq,      pconfig.contigs,
                               pconfig.extension, insert_model,
                               mate_rescue};
-        const auto finalize_and_emit =
-            [&](std::vector<SamRecord> &rs,
-                const std::vector<std::pair<std::string, Sequence>> &rd) {
-                for (size_t i = 0; i + 1 < rs.size(); i += 2) {
-                    finalizePair(rs[i], rs[i + 1], rd[i].second,
-                                 rd[i + 1].second, aligner.engine(), ctx);
-                    out << rs[i].render() << '\n'
-                        << rs[i + 1].render() << '\n';
-                }
-                total_reads += rs.size();
-            };
-        finalize_and_emit(recs, chunk);
+        for (size_t i = 0; i + 1 < recs.size(); i += 2) {
+            finalizePair(recs[i], recs[i + 1], chunk[i].second,
+                         chunk[i + 1].second, aligner.engine(), ctx);
+            out << recs[i].render() << '\n'
+                << recs[i + 1].render() << '\n';
+        }
+        total_reads = recs.size();
 
-        if (!threaded) {
-            for (;;) {
-                chunk.clear();
-                while (chunk.size() < kAlignChunk &&
-                       pair_source->next(pr)) {
-                    chunk.emplace_back(pr.name, std::move(pr.first));
-                    chunk.emplace_back(std::move(pr.name),
-                                       std::move(pr.second));
-                }
-                if (chunk.empty())
-                    break;
-                recs = aligner.alignBatch(chunk);
-                finalize_and_emit(recs, chunk);
-            }
-        } else {
-            tconfig.paired = true;
-            tconfig.insert = insert_model;
-            tconfig.mate_rescue = mate_rescue;
-            // Whole-pair pull: two consecutive slots per pair, so mates
-            // share a slab (batch sizes are even in paired mode). A
-            // parse error ends the stream and is rethrown after join.
-            std::exception_ptr read_error;
-            ReadSource source =
-                [&](std::vector<std::pair<std::string, Sequence>> &pulled,
-                    size_t max) -> size_t {
-                if (read_error)
-                    return 0;
-                size_t n = 0;
-                try {
-                    while (n + 1 < max && pair_source->next(pr)) {
-                        pulled[n].first = pr.name;
-                        pulled[n].second = std::move(pr.first);
-                        pulled[n + 1].first = std::move(pr.name);
-                        pulled[n + 1].second = std::move(pr.second);
-                        n += 2;
-                    }
-                } catch (...) {
-                    read_error = std::current_exception();
-                }
-                return n;
-            };
-            alignThreadedSource(
-                ref.seq, source, tconfig,
-                [&](size_t, SamRecord &&sam) {
-                    out << sam.render() << '\n';
-                },
-                &treport, &aligner.index());
-            total_reads += treport.reads;
-            if (read_error)
-                std::rethrow_exception(read_error);
-        }
-    } else if (!threaded) {
-        Aligner aligner(ref.seq, pconfig, std::move(ref.index));
-        FastqReader reader(reads_path);
-        FastqRecord rec;
-        std::vector<std::pair<std::string, Sequence>> chunk;
-        chunk.reserve(kAlignChunk);
-        for (;;) {
-            chunk.clear();
-            while (chunk.size() < kAlignChunk && reader.next(rec))
-                chunk.emplace_back(std::move(rec.name),
-                                   std::move(rec.seq));
-            if (chunk.empty())
-                break;
-            for (SamRecord &sam : aligner.alignBatch(chunk))
-                out << sam.render() << '\n';
-            total_reads += chunk.size();
-        }
-    } else {
-        FastqReader reader(reads_path);
-        FastqRecord rec;
-        // The source runs on producer threads; a parse error must not
-        // unwind through the pipeline, so it ends the stream and is
-        // rethrown after the workers have drained and joined.
-        std::exception_ptr read_error;
+        tconfig.paired = true;
+        tconfig.insert = insert_model;
+        tconfig.mate_rescue = mate_rescue;
+        // Whole-pair pull: two consecutive slots per pair, so mates
+        // share a batch (batch sizes are even in paired mode).
         ReadSource source =
             [&](std::vector<std::pair<std::string, Sequence>> &pulled,
                 size_t max) -> size_t {
-            if (read_error)
-                return 0;
             size_t n = 0;
-            try {
-                while (n < max && reader.next(rec)) {
-                    pulled[n].first = std::move(rec.name);
-                    pulled[n].second = std::move(rec.seq);
-                    ++n;
-                }
-            } catch (...) {
-                read_error = std::current_exception();
+            while (n + 1 < max && pair_source->next(pr)) {
+                pulled[n].first = pr.name;
+                pulled[n].second = std::move(pr.first);
+                pulled[n + 1].first = std::move(pr.name);
+                pulled[n + 1].second = std::move(pr.second);
+                n += 2;
             }
             return n;
         };
-        alignThreadedSource(
-            ref.seq, source, tconfig,
-            [&](size_t, SamRecord &&sam) {
-                out << sam.render() << '\n';
-            },
-            &treport, ref.index.get());
-        total_reads = treport.reads;
-        if (read_error)
-            std::rethrow_exception(read_error);
+        alignThreadedSource(ref.seq, source, tconfig, emit, &treport,
+                            &aligner.index());
+    } else {
+        FastqReader reader(reads_path);
+        FastqRecord rec;
+        ReadSource source =
+            [&](std::vector<std::pair<std::string, Sequence>> &pulled,
+                size_t max) -> size_t {
+            size_t n = 0;
+            while (n < max && reader.next(rec)) {
+                pulled[n].first = std::move(rec.name);
+                pulled[n].second = std::move(rec.seq);
+                ++n;
+            }
+            return n;
+        };
+        alignThreadedSource(ref.seq, source, tconfig, emit, &treport,
+                            ref.index.get());
     }
+    total_reads += treport.reads;
     wall.stop();
     out.flush();
     if (!out)
@@ -571,13 +527,9 @@ cmdAlign(int argc, char **argv)
             ": write failed (disk full?)");
 
     std::cerr << strprintf(
-        "seedex align: %llu reads in %.2f s (%s)\n",
+        "seedex align: %llu reads in %.2f s (%ld thread%s)\n",
         static_cast<unsigned long long>(total_reads), wall.seconds(),
-        threaded ? strprintf("%d seeding + %d fpga threads",
-                             tconfig.seeding_threads,
-                             tconfig.fpga_threads)
-                       .c_str()
-                 : "single-threaded");
+        threads, threads == 1 ? "" : "s");
     if (paired) {
         const PairedCounters pc = pairedCounters();
         std::cerr << strprintf(
@@ -612,7 +564,6 @@ cmdAlign(int argc, char **argv)
             w.kv("wall_seconds", wall.seconds());
             w.kv("engine", args.get("--engine", "seedex"));
             w.kv("threads", static_cast<uint64_t>(threads));
-            w.kv("threaded", threaded);
         });
         report.section("band_policy", [&](obs::JsonWriter &w) {
             w.kv("kind", bandPolicyKindName(pconfig.band_policy.kind));
@@ -625,16 +576,15 @@ cmdAlign(int argc, char **argv)
             w.kv("ladder_hits", bp.ladder_hits);
             w.kv("rerun_cells_saved", bp.rerun_cells_saved);
         });
-        if (threaded) {
-            report.section("threaded", [&](obs::JsonWriter &w) {
-                w.kv("batches", treport.batches);
-                w.kv("extensions", treport.extensions);
-                w.kv("reruns", treport.reruns);
-                w.kv("seeding_threads", treport.seeding_threads);
-                w.kv("fpga_threads", treport.fpga_threads);
-                w.kv("batch_size", treport.batch_size);
-            });
-        }
+        report.section("threaded", [&](obs::JsonWriter &w) {
+            w.kv("threads", static_cast<int64_t>(threads));
+            w.kv("batches", treport.batches);
+            w.kv("extensions", treport.extensions);
+            w.kv("reruns", treport.reruns);
+            w.kv("batch_size", treport.batch_size);
+            w.kv("producer_cpu_seconds", treport.producer_cpu_seconds);
+            w.kv("consumer_cpu_seconds", treport.consumer_cpu_seconds);
+        });
         if (paired) {
             report.section("paired", [&](obs::JsonWriter &w) {
                 const PairedCounters pc = pairedCounters();

@@ -194,7 +194,16 @@ class Ledger
     uint64_t
     nextReadIndex()
     {
-        return next_index_.fetch_add(1, std::memory_order_relaxed);
+        return reserveReadIndices(1);
+    }
+
+    /** Reserve `n` consecutive sequence numbers and return the first
+     *  (the threaded pipeline numbers a whole batch at once, so its
+     *  reads continue after any read numbered before the run). */
+    uint64_t
+    reserveReadIndices(uint64_t n)
+    {
+        return next_index_.fetch_add(n, std::memory_order_relaxed);
     }
 
     /**
@@ -266,8 +275,9 @@ class ReadScope
     /** Auto-numbered via Ledger::nextReadIndex (the single-threaded
      *  pipeline, which sees reads in input order). */
     explicit ReadScope(const std::string &name);
-    /** Explicitly numbered (the threaded pipeline, where consumers see
-     *  reads out of order). */
+    /** Explicitly numbered (the threaded pipeline, where workers see
+     *  reads out of order; it reserves its numbers with
+     *  Ledger::reserveReadIndices). */
     ReadScope(uint64_t read_index, const std::string &name);
     ~ReadScope();
 

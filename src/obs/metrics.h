@@ -175,7 +175,7 @@ struct MetricsSnapshot
  * without invalidating references), so steady-state updates never touch
  * the registry mutex. Naming convention: dotted lowercase paths,
  * `<subsystem>.<object>.<unit>` — e.g. `aligner.seeding.seconds`,
- * `filter.verdict.pass_s2`, `threaded.queue.depth` (see DESIGN.md
+ * `filter.verdict.pass_s2`, `threaded.reorder.pending` (see DESIGN.md
  * §"Observability").
  */
 class MetricsRegistry

@@ -13,7 +13,7 @@ namespace seedex {
  * oversubscribed host (more worker threads than cores) wall-clock time
  * says nothing about per-stage cost because every stopwatch interval
  * includes time the thread spent preempted. The thread CPU clock charges
- * a thread only for cycles it actually ran, so producer/consumer cost
+ * a thread only for cycles it actually ran, so seeding/extension cost
  * stays comparable across thread counts. Returns 0 where the POSIX
  * per-thread clock is unavailable (callers must treat 0 as "no data").
  */

@@ -289,7 +289,7 @@ TEST(Chaining, RetirementBitIdenticalOnRepeatHeavyReads)
 TEST(Chaining, RecycledWorkspaceMatchesFreshCalls)
 {
     // One workspace + one chain vector reused across many reads (the
-    // producer-thread pattern) must reproduce fresh chainSeeds exactly,
+    // worker-thread pattern) must reproduce fresh chainSeeds exactly,
     // with the spare slots beyond the returned count ignored.
     Rng rng(213);
     ChainingParams params;

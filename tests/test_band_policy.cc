@@ -385,7 +385,7 @@ TEST(BandPolicyThreaded, ThreadCountNeverChangesBytes)
     Aligner oracle(w.reference, full_cfg);
     const std::string want = renderAll(oracle.alignBatch(w.reads));
 
-    // 1+1 and 3+2 workers: per-consumer predictor state sees totally
+    // 2 and 5 workers: per-worker predictor state sees totally
     // different batch interleavings; bytes must not care.
     for (const auto &[seeding, fpga] : {std::pair{1, 1}, {3, 2}}) {
         ThreadedConfig cfg;

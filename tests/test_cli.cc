@@ -1,5 +1,6 @@
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -7,6 +8,8 @@
 #include <streambuf>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -36,10 +39,27 @@ cli(std::initializer_list<std::string> args)
     return runCli(static_cast<int>(argv.size()), argv.data());
 }
 
+/** A path in this process's own scratch directory, removed at exit.
+ *  ctest runs every test in its own process, in parallel, and fixtures
+ *  rewrite their inputs, so a path shared across processes races (one
+ *  process truncates a FASTA another is reading). */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "seedex_cli_" + name;
+    struct ScratchDir
+    {
+        const std::filesystem::path path =
+            std::filesystem::path(::testing::TempDir()) /
+            ("seedex_cli_" + std::to_string(::getpid()));
+        ScratchDir() { std::filesystem::create_directories(path); }
+        ~ScratchDir()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    };
+    static const ScratchDir dir;
+    return (dir.path / name).string();
 }
 
 std::vector<std::string>
@@ -357,11 +377,12 @@ TEST_F(CliRoundTrip, FullBandFourThreads)
 
 TEST_F(CliRoundTrip, BandedFourThreads)
 {
-    // The unguaranteed engine too: threaded consumers build the same
+    // The unguaranteed engine too: threaded workers build the same
     // engine the single-threaded Aligner runs.
     check(EngineKind::Banded, "banded", 4);
 
-    // ...and the run really is threaded (no single-thread fallback).
+    // ...and the run really has four workers, each of which seeded and
+    // extended (the report's threaded section carries both CPU splits).
     const std::string metrics = tempPath("rt_banded_t4.json");
     ASSERT_EQ(cli({"seedex", "align", sdxPath(), workload().fastq_path,
                    "-o", tempPath("rt_banded_t4_m.sam"), "--engine=banded",
@@ -370,7 +391,16 @@ TEST_F(CliRoundTrip, BandedFourThreads)
     std::ifstream in(metrics);
     std::stringstream report;
     report << in.rdbuf();
-    EXPECT_NE(report.str().find("\"threaded\":true"), std::string::npos);
+    const std::string text = report.str();
+    const size_t section = text.find("\"threaded\":{");
+    ASSERT_NE(section, std::string::npos) << text;
+    const std::string threaded =
+        text.substr(section, text.find('}', section) - section);
+    for (const char *key : {"\"threads\":4", "\"producer_cpu_seconds\":",
+                            "\"consumer_cpu_seconds\":"})
+        EXPECT_NE(threaded.find(key), std::string::npos) << threaded;
+    EXPECT_EQ(threaded.find("seeding_threads"), std::string::npos)
+        << threaded;
 }
 
 // ---- CLI failure modes --------------------------------------------------
@@ -435,11 +465,22 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "index", "ref.fa"}), 2); // missing -o
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--bogus=1"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=soon"}), 2);
-    // --threads is the only thread-shape flag; the split is fixed 3:1.
+    // Worker counts above the limit are refused before any input is
+    // read or thread started.
+    EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=100000"}), 2);
+    // Band widths and ledger strides outside [1, INT_MAX] and
+    // [1, UINT32_MAX] are refused instead of wrapping.
+    for (const char *flag :
+         {"--band=0", "--band=-5", "--band=2147483648",
+          "--ledger-sample=0", "--ledger-sample=-1",
+          "--ledger-sample=4294967296"})
+        EXPECT_EQ(cli({"seedex", "align", "a", "b", flag}), 2) << flag;
+    // --threads is the only thread-shape flag: every worker seeds and
+    // extends.
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--seeding-threads=2"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--fpga-threads=2"}), 2);
     // Seeding and hand-off tuning flags are gone: production runs one
-    // measured FM-index path and one ring.
+    // measured FM-index path.
     for (const char *flag :
          {"--batch=16", "--queue-cap=2", "--queue-shards=3",
           "--kernel=scalar", "--fm-layout=naive", "--kmer=0"})
@@ -477,7 +518,7 @@ TEST(CliErrors, MalformedFastqExitsOneAfterPartialOutput)
     const std::string out = tempPath("badfq.sam");
     EXPECT_EQ(cli({"seedex", "align", w.fasta_path, fq, "-o", out}), 1);
     // Multi-threaded: the parse error must end the stream cleanly, not
-    // crash a producer thread.
+    // crash a worker thread.
     EXPECT_EQ(cli({"seedex", "align", w.fasta_path, fq, "-o", out,
                    "--threads=4"}),
               1);
@@ -579,6 +620,19 @@ TEST_F(CliPrecedence, BandFlagBeatsEnv)
     EXPECT_EQ(jsonValue(alignReport("band_flag", {"--band=21"}),
                         "base_band"),
               "21");
+}
+
+TEST_F(CliPrecedence, ThreadLimitAppliesToEnvToo)
+{
+    // SEEDEX_THREADS follows the --threads rule: above the limit it is
+    // a usage error before any input is read or thread started...
+    ScopedEnv env("SEEDEX_THREADS", "100000");
+    EXPECT_EQ(cli({"seedex", "align", "a", "b"}), 2);
+    // ...unless an explicit flag overrides it (then the missing inputs
+    // are the error).
+    EXPECT_EQ(cli({"seedex", "align", tempPath("nope.fa"),
+                   tempPath("nope.fq"), "--threads=2"}),
+              1);
 }
 
 TEST_F(CliPrecedence, BandPolicyFlagBeatsEnv)

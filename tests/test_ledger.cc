@@ -171,7 +171,7 @@ TEST(Ledger, SingleThreadedPipelineMatchesFilterCounters)
 
 TEST(Ledger, ThreadedRecordsEqualSingleThreadedUnderFixedPolicy)
 {
-    // Threaded consumers run the Aligner's per-read body through the
+    // Threaded workers run the Aligner's per-read body through the
     // engine the config selects, with the same thread-local ledger
     // hooks, so under the fixed band policy every schedule-independent
     // field matches the single-threaded record — for every engine.

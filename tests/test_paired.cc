@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -564,7 +567,23 @@ class PairedCli : public ::testing::Test
     static std::string
     path(const std::string &name)
     {
-        return ::testing::TempDir() + "seedex_paired_" + name;
+        // A per-process scratch directory, removed at exit: ctest runs
+        // tests in parallel processes, and every PairedCli test rewrites
+        // ref.fa in SetUp.
+        struct ScratchDir
+        {
+            const std::filesystem::path path =
+                std::filesystem::path(::testing::TempDir()) /
+                ("seedex_paired_" + std::to_string(::getpid()));
+            ScratchDir() { std::filesystem::create_directories(path); }
+            ~ScratchDir()
+            {
+                std::error_code ec;
+                std::filesystem::remove_all(path, ec);
+            }
+        };
+        static const ScratchDir dir;
+        return (dir.path / name).string();
     }
 
     static void
@@ -687,6 +706,41 @@ TEST_F(PairedCli, WellFormedPairAlignsWithPairedFlagsSet)
     EXPECT_TRUE(flag1 & kSamFlagProperPair);
     EXPECT_TRUE(flag1 & kSamFlagFirstInPair);
     EXPECT_TRUE(flag2 & kSamFlagSecondInPair);
+}
+
+TEST_F(PairedCli, LedgerNumbersEveryReadOnce)
+{
+    // The bootstrap pairs are aligned (and numbered) before the worker
+    // pipeline starts; the pipeline's reads must continue that
+    // numbering, not restart it, at every thread count.
+    const std::string prefix = path("ledsim");
+    ASSERT_EQ(cli({"seedex", "simulate", "-o", prefix, "--paired",
+                   "--length=200000", "--reads=1100", "--seed=31"}),
+              0);
+    const size_t n_reads = 2 * 1100; // more than the bootstrap chunk
+    for (const char *threads : {"--threads=1", "--threads=3"}) {
+        const std::string ledger = path("ledger.jsonl");
+        ASSERT_EQ(cli({"seedex", "align", prefix + ".fa", "-1",
+                       prefix + "_1.fq", "-2", prefix + "_2.fq", "-o",
+                       path("ledger.sam"), threads,
+                       "--ledger-out=" + ledger}),
+                  0);
+        std::ifstream in(ledger);
+        std::vector<size_t> seen(n_reads, 0);
+        std::string line;
+        size_t records = 0;
+        while (std::getline(in, line)) {
+            const size_t at = line.find("\"read\":");
+            ASSERT_NE(at, std::string::npos) << line;
+            const size_t idx = std::stoul(line.substr(at + 7));
+            ASSERT_LT(idx, n_reads) << threads;
+            ++seen[idx];
+            ++records;
+        }
+        EXPECT_EQ(records, n_reads) << threads;
+        for (size_t i = 0; i < n_reads; ++i)
+            ASSERT_EQ(seen[i], 1u) << threads << " read index " << i;
+    }
 }
 
 } // namespace

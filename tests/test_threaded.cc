@@ -1,15 +1,14 @@
 /**
  * @file
- * The batch-granular producer→consumer hand-off (batch_ring.h) and the
- * threaded pipeline built on it.
+ * The worker pipeline (threaded.h) and its reorder buffer
+ * (reorder_buffer.h).
  *
- * Covers: FIFO/close semantics and the wakeup audit of the batch ring,
- * slab recycling through the pool, in-order streaming out of the
- * reorder buffer under adversarial completion orders, the operator-new
- * steady-state zero-allocation guarantee of the whole hand-off path
- * (ring + pool + chaining + reverse-complement recycling), and an
- * 8-producer/8-consumer stress run over >= 5k reads asserting
- * bit-identical, in-input-order output vs the single-threaded pipeline.
+ * Covers: in-order streaming out of the reorder buffer under
+ * adversarial completion orders, the operator-new steady-state
+ * zero-allocation guarantee of a worker's recycled chain and
+ * reverse-complement storage, a 16-worker stress run over >= 5k reads
+ * asserting bit-identical, in-input-order output vs the single-threaded
+ * pipeline, and the SEEDEX_THREADS rule.
  */
 #include <gtest/gtest.h>
 
@@ -17,12 +16,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "aligner/batch_ring.h"
 #include "aligner/pipeline.h"
+#include "aligner/reorder_buffer.h"
 #include "aligner/threaded.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
@@ -85,76 +84,6 @@ operator delete[](void *p, size_t, std::align_val_t) noexcept
 
 namespace {
 
-// ------------------------------------------------------------ BatchRing
-
-TEST(BatchRing, SingleShardFifoAndDrain)
-{
-    BatchRing ring(4);
-    SeededBatch a, b, c;
-    ring.push(&a);
-    ring.push(&b);
-    ring.push(&c);
-    EXPECT_EQ(ring.pop(), &a);
-    EXPECT_EQ(ring.pop(), &b);
-    ring.close();
-    EXPECT_EQ(ring.pop(), &c);
-    EXPECT_EQ(ring.pop(), nullptr);
-    EXPECT_EQ(ring.publishes(), 3u);
-    EXPECT_EQ(ring.claims(), 3u);
-}
-
-TEST(BatchRing, WakeupsBoundedByPublishesPlusClaims)
-{
-    // Uncontended single-threaded use: nobody ever waits, so not a
-    // single notify should fire.
-    BatchRing ring(2);
-    SeededBatch a;
-    for (int i = 0; i < 10; ++i) {
-        ring.push(&a);
-        EXPECT_EQ(ring.pop(), &a);
-    }
-    EXPECT_EQ(ring.wakeups(), 0u);
-    EXPECT_LE(ring.wakeups(), ring.publishes() + ring.claims());
-}
-
-TEST(BatchRing, BlockedProducerAndConsumerMakeProgress)
-{
-    BatchRing ring(1); // capacity 1: producer must block
-    std::vector<SeededBatch> batches(64);
-    std::vector<SeededBatch *> got;
-    std::thread consumer([&] {
-        while (SeededBatch *x = ring.pop())
-            got.push_back(x);
-    });
-    for (size_t i = 0; i < batches.size(); ++i)
-        ring.push(&batches[i]);
-    ring.close();
-    consumer.join();
-    ASSERT_EQ(got.size(), batches.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], &batches[i]) << i; // FIFO preserved
-    EXPECT_LE(ring.wakeups(), ring.publishes() + ring.claims());
-}
-
-// ------------------------------------------------------------ BatchPool
-
-TEST(BatchPool, RecyclesSlabsAfterWarmup)
-{
-    BatchPool pool(4, 8);
-    SeededBatch *a = pool.acquire();
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a->items.size(), 8u);
-    EXPECT_EQ(pool.misses(), 1u);
-    a->n_items = 5;
-    a->items[0].n_chains = 3;
-    pool.release(a);
-    SeededBatch *b = pool.acquire();
-    EXPECT_EQ(b, a); // recycled, not reallocated
-    EXPECT_EQ(pool.hits(), 1u);
-    EXPECT_EQ(b->n_items, 0u); // prepared empty...
-    EXPECT_EQ(b->items[0].n_chains, 3u); // ...but item storage retained
-}
-
 // -------------------------------------------------------- ReorderBuffer
 
 TEST(ReorderBuffer, StreamsInOrderUnderAnyCompletionOrder)
@@ -199,20 +128,17 @@ randomSeq(Rng &rng, int len)
 
 TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
 {
-    // Deterministic single-threaded drive of the full hand-off path a
-    // producer and consumer share: pool acquire -> chain into recycled
-    // slab storage (chainSeedsInto + reverseComplementInto) -> ring
-    // publish -> ring claim -> pool release. After one warm-up cycle
-    // every structure has grown to its high-water mark; the loop below
-    // must then be allocation-free (the DpWorkspace discipline applied
-    // to the producer->consumer boundary).
+    // Deterministic drive of what a worker keeps between a batch's
+    // seeding and extension phases: each read's chains go into recycled
+    // chain storage (chainSeedsInto) and its reverse complement into a
+    // recycled sequence (reverseComplementInto). After one warm-up
+    // batch every buffer has grown to its high-water mark; later
+    // batches over the same storage must then be allocation-free.
     Rng rng(403);
     const size_t kReads = 16;
-    std::vector<std::string> names;
     std::vector<Sequence> reads;
     std::vector<std::vector<Seed>> seeds(kReads);
     for (size_t i = 0; i < kReads; ++i) {
-        names.push_back("r" + std::to_string(i));
         reads.push_back(randomSeq(rng, 101));
         // Repeat-flavored seed sets: several loci per read, both
         // strands, reference-sorted within each strand block.
@@ -230,37 +156,27 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
 
     ChainingParams params;
     ChainWorkspace ws;
-    BatchPool pool(4, kReads);
-    BatchRing ring(4);
-    auto cycle = [&] {
-        SeededBatch *batch = pool.acquire();
-        batch->seq = 0;
-        batch->base = 0;
-        batch->n_items = kReads;
+    std::vector<std::vector<Chain>> chains(kReads);
+    std::vector<Sequence> rcs(kReads);
+    size_t live_chains = 0;
+    auto batch = [&] {
+        live_chains = 0;
         for (size_t i = 0; i < kReads; ++i) {
-            SeededRead &item = batch->items[i];
-            item.read_idx = i;
-            item.name = &names[i];
-            item.read = &reads[i];
-            item.n_seeds = static_cast<uint32_t>(seeds[i].size());
-            item.n_chains =
-                chainSeedsInto(seeds[i], params, ws, item.chains);
-            item.read->reverseComplementInto(item.reverse_complement);
+            live_chains += chainSeedsInto(seeds[i], params, ws, chains[i]);
+            reads[i].reverseComplementInto(rcs[i]);
         }
-        ring.push(batch);
-        SeededBatch *claimed = ring.pop();
-        ASSERT_EQ(claimed, batch);
-        pool.release(claimed);
     };
 
     for (int warm = 0; warm < 3; ++warm)
-        cycle();
+        batch();
     const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
     for (int it = 0; it < 100; ++it)
-        cycle();
+        batch();
     const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+    EXPECT_GT(live_chains, kReads) << "seed sets chained to nothing";
+    EXPECT_EQ(rcs[0].size(), reads[0].size());
     EXPECT_EQ(after - before, 0u)
-        << "steady-state hand-off performed heap allocations";
+        << "steady-state chain/reverse-complement recycling allocated";
 }
 
 // --------------------------------------------------- Threaded stress run
@@ -302,6 +218,8 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     Aligner baseline(ref_, base);
     const auto expected = baseline.alignBatch(reads);
 
+    // 8 + 8: sixteen workers on small batches, so many batches race
+    // through the reorder window out of order.
     ThreadedConfig config;
     config.seeding_threads = 8;
     config.fpga_threads = 8;
@@ -316,7 +234,7 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
         ref_, reads, config,
         [&](size_t read_idx, SamRecord &&rec) {
             // The reorder buffer's contract: strictly increasing
-            // read_idx with no gaps, straight off consumer threads.
+            // read_idx with no gaps, straight off worker threads.
             ordered &= read_idx == next_idx;
             ++next_idx;
             got.push_back(std::move(rec));
@@ -330,21 +248,63 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
             << "\n  thrd: " << got[i].render();
     }
 
-    // Report sanity: every published batch was claimed and retired, the
-    // pool recycled after warm-up, and the wakeup audit holds.
+    // Report sanity: every batch retired, the finished-but-unretired
+    // set stayed inside the reorder window, and both phases were timed.
     EXPECT_EQ(report.reads, kReads);
-    EXPECT_EQ(report.queue.publishes, report.batches);
-    EXPECT_EQ(report.queue.claims, report.batches);
+    EXPECT_EQ(report.batches, (kReads + 31) / 32);
     EXPECT_EQ(report.reorder.retired, report.batches);
-    EXPECT_EQ(report.pool.hits + report.pool.misses,
-              report.queue.publishes);
-    EXPECT_GT(report.pool.hitRate(), 0.5);
-    EXPECT_LE(report.queue.wakeups,
-              report.queue.publishes + report.queue.claims);
-    EXPECT_LE(report.queue.max_depth,
-              static_cast<int64_t>(report.queue.capacity_batches));
+    EXPECT_GE(report.reorder.max_pending, 1);
+    EXPECT_LE(report.reorder.max_pending,
+              static_cast<int64_t>(report.reorder.window));
+    EXPECT_EQ(report.seeding_threads, 16);
+    EXPECT_EQ(report.fpga_threads, 16);
     EXPECT_GT(report.producer_cpu_seconds, 0.0);
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
+    EXPECT_GT(report.max_worker_cpu_seconds, 0.0);
+    EXPECT_LE(report.max_worker_cpu_seconds,
+              report.producer_cpu_seconds + report.consumer_cpu_seconds);
+}
+
+TEST_F(ThreadedStress, SourceErrorIsRethrownAfterAnInOrderPrefix)
+{
+    // A throwing source (a malformed input file) must neither kill the
+    // process from a worker thread nor strand the other workers: the
+    // run ends, the sink has seen an input-order prefix, and the error
+    // reaches the caller.
+    const auto reads = simulateReads(400, 417);
+    for (const int workers : {1, 4}) {
+        ThreadedConfig config;
+        config.setTotalThreads(workers);
+        config.batch_size = 16;
+        size_t next = 0, pulls = 0;
+        const ReadSource source =
+            [&](std::vector<std::pair<std::string, Sequence>> &out,
+                size_t max) -> size_t {
+            if (++pulls == 6)
+                throw std::runtime_error("reads.fq: record 81: truncated");
+            const size_t n = std::min(max, reads.size() - next);
+            for (size_t i = 0; i < n; ++i)
+                out[i] = reads[next + i];
+            next += n;
+            return n;
+        };
+        size_t emitted = 0;
+        bool ordered = true;
+        try {
+            alignThreadedSource(
+                ref_, source, config,
+                [&](size_t read_idx, SamRecord &&rec) {
+                    ordered &= read_idx == emitted &&
+                               rec.qname == reads[read_idx].first;
+                    ++emitted;
+                });
+            ADD_FAILURE() << workers << " workers: no exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "reads.fq: record 81: truncated");
+        }
+        EXPECT_TRUE(ordered) << workers << " workers";
+        EXPECT_LE(emitted, 5u * 16u) << workers << " workers";
+    }
 }
 
 /** Kernel dispatches across every tier, and filter verdicts. */
@@ -362,7 +322,7 @@ kernelCallsAndVerdicts()
 
 TEST_F(ThreadedStress, KernelWorkEqualsSingleThreadedUnderFixedPolicy)
 {
-    // One extension path: threaded consumers run the Aligner's engine
+    // One extension path: threaded workers run the Aligner's engine
     // through extendChain, so under the fixed band policy they dispatch
     // exactly the kernel calls and filter verdicts the single-threaded
     // Aligner does on the same reads — no second pass per extension.
@@ -404,22 +364,29 @@ TEST(ThreadedConfigEnv, KnobsApplyAndGarbageIsIgnored)
     ThreadedConfig config;
     setenv("SEEDEX_THREADS", "8", 1);
     config.applyEnv();
-    EXPECT_EQ(config.seeding_threads, 6); // 3:1 split of 8
-    EXPECT_EQ(config.fpga_threads, 2);
+    EXPECT_EQ(config.workers(), 8);
+    EXPECT_EQ(config.seeding_threads + config.fpga_threads, 8);
 
     setenv("SEEDEX_THREADS", "garbage", 1);
     config.applyEnv();
-    EXPECT_EQ(config.seeding_threads, 6); // unchanged
-    EXPECT_EQ(config.fpga_threads, 2);
+    EXPECT_EQ(config.workers(), 8); // unchanged
 
     setenv("SEEDEX_THREADS", "-3", 1);
     config.applyEnv();
-    EXPECT_EQ(config.seeding_threads, 6); // unchanged
+    EXPECT_EQ(config.workers(), 8); // unchanged
 
     setenv("SEEDEX_THREADS", "1", 1);
     config.applyEnv();
-    EXPECT_EQ(config.seeding_threads, 1); // at least one each side
-    EXPECT_EQ(config.fpga_threads, 1);
+    EXPECT_EQ(config.workers(), 1);
+
+    // Above the limit: rejected before any thread could start.
+    setenv("SEEDEX_THREADS", "100000", 1);
+    EXPECT_THROW(config.applyEnv(), std::invalid_argument);
+    EXPECT_EQ(config.workers(), 1); // unchanged
+    EXPECT_THROW(config.setTotalThreads(kMaxWorkerThreads + 1),
+                 std::invalid_argument);
+    config.setTotalThreads(kMaxWorkerThreads);
+    EXPECT_EQ(config.workers(), kMaxWorkerThreads);
 
     unsetenv("SEEDEX_THREADS");
 }

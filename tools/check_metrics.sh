@@ -6,9 +6,10 @@
 # align.kernel.* instruments and the BENCH_kernel.json sweep document;
 # then runs the seeding bench and validates the seed.* instruments and
 # the BENCH_seed.json sweep; then runs the thread-scaling bench and
-# validates the threaded.* instruments (including the wakeup-audit
-# invariant wakeups <= publishes + claims), the run report's `threading`
-# section, and the BENCH_threads.json sweep; then runs the band-policy
+# validates the threaded.* instruments (every batch retires through the
+# reorder window, one batch-latency sample per batch), the run report's
+# `threading` section, and the BENCH_threads.json sweep; then runs the
+# band-policy
 # bench and validates the seedex.band.* instruments, their
 # reconciliation with the filter verdict counters, the run report's
 # `band_policy` section, and the BENCH_band.json sweep (including the
@@ -307,59 +308,39 @@ with open(sys.argv[1]) as f:
 assert report["schema"] == "seedex.run_report/v1", report["schema"]
 assert report["bench"] == "bench_threads"
 
-# --- The `threading` section: batch-ring / slab-pool / reorder-buffer
+# --- The `threading` section: worker shape, CPU split and reorder
 # telemetry of the report's threaded run (the 8-thread cell).
 thr = report["threading"]
-assert thr["seeding_threads"] >= 1 and thr["fpga_threads"] >= 1
+assert thr["threads"] >= 1
 assert thr["batch_size"] >= 1
 assert thr["producer_cpu_seconds"] > 0
 assert thr["consumer_cpu_seconds"] > 0
+assert 0 < thr["max_worker_cpu_seconds"] <= \
+    thr["producer_cpu_seconds"] + thr["consumer_cpu_seconds"], thr
+assert "queue" not in thr and "pool" not in thr, thr
 
-queue = thr["queue"]
-assert queue["publishes"] > 0
-assert queue["publishes"] == queue["claims"], queue
-# The wakeup-audit invariant: one lock + at most one (counted) notify
-# per publish/claim, so wakeups can never exceed publishes + claims.
-assert queue["wakeups"] <= queue["publishes"] + queue["claims"], queue
-assert queue["capacity_batches"] >= 1
-assert 0 <= queue["avg_depth"] <= queue["max_depth"] <= \
-    queue["capacity_batches"], queue
-
-pool = thr["pool"]
-# Every published batch came from the pool, one way or the other.
-assert pool["hits"] + pool["misses"] == queue["publishes"], (pool, queue)
-assert 0.0 <= pool["hit_rate"] <= 1.0
-
+batches = report["threaded"]["batches"]
+assert batches > 0
 reorder = thr["reorder"]
-assert reorder["retired"] == queue["publishes"], (reorder, queue)
-assert reorder["max_pending"] >= 1
+# Every batch a worker pulled retired through the reorder window, and
+# the finished-but-unretired set never outgrew it.
+assert reorder["retired"] == batches, (reorder, batches)
+assert 1 <= reorder["max_pending"] <= reorder["window"], reorder
 
-# --- Registry counters mirror the ring's own tallies across the whole
-# process (>= the report's run: the sweep ran many cells).
+# --- Registry counters across the whole process (the sweep ran many
+# cells): every batch retired once and was timed once.
 counters = report["metrics"]["counters"]
-for name in ("threaded.queue.publishes", "threaded.queue.claims",
-             "threaded.queue.wakeups", "threaded.pool.hits",
-             "threaded.pool.misses", "threaded.reorder.retired",
-             "threaded.reads", "threaded.batches"):
+for name in ("threaded.reorder.retired", "threaded.reads",
+             "threaded.batches"):
     assert name in counters, f"missing counter {name}"
-assert counters["threaded.queue.publishes"] >= queue["publishes"]
-assert counters["threaded.queue.publishes"] == \
-    counters["threaded.queue.claims"]
-assert counters["threaded.queue.wakeups"] <= \
-    counters["threaded.queue.publishes"] + \
-    counters["threaded.queue.claims"]
-assert counters["threaded.pool.hits"] + \
-    counters["threaded.pool.misses"] == \
-    counters["threaded.queue.publishes"]
-assert counters["threaded.reorder.retired"] == \
-    counters["threaded.queue.publishes"]
+assert counters["threaded.reorder.retired"] == counters["threaded.batches"]
 
 hists = report["metrics"]["histograms"]
 hist = hists["threaded.batch.wall_seconds"]
 assert hist["count"] == counters["threaded.batches"]
 
 # --- Sweep document: every cell bit-identical, sane ratio columns,
-# and the ISSUE 7 headline (>= 2.5x modeled speedup at 8 threads).
+# and the headline (>= 2.5x modeled speedup at 8 threads).
 with open(sys.argv[2]) as f:
     sweep = json.load(f)
 assert sweep["schema"] == "seedex.bench_sweep/v1", sweep.get("schema")
@@ -370,17 +351,13 @@ for cell in cells:
     assert cell["threads"] >= 1 and cell["batch"] >= 1
     assert cell["identical_to_single_thread"] is True, cell
     assert cell["modeled_speedup"] > 0
-    assert cell["handoff_ops_per_read"] > 0
-    assert 0.0 <= cell["pool_hit_rate"] <= 1.0
 assert {c["threads"] for c in cells} >= {1, 8}, "sweep lacks 1t/8t cells"
 assert sweep["all_identical"] is True
 assert sweep["modeled_speedup_8t"] >= 2.5, sweep["modeled_speedup_8t"]
 
-print(f"ok: queue publishes={queue['publishes']} "
-      f"wakeups={queue['wakeups']} (bound "
-      f"{queue['publishes'] + queue['claims']}); "
-      f"pool hit rate={pool['hit_rate']:.2f}; "
-      f"reorder retired={reorder['retired']}; "
+print(f"ok: reorder retired={reorder['retired']} == batches; "
+      f"max pending={reorder['max_pending']} <= "
+      f"window={reorder['window']}; "
       f"{len(cells)} sweep cells, "
       f"modeled 8t speedup={sweep['modeled_speedup_8t']:.2f}x")
 EOF
@@ -531,7 +508,7 @@ run = report["run"]
 assert run["reads"] == 2 * paired["pairs"], (run["reads"], paired)
 
 # --- Extension reconciliation: each verdict the filter issued came
-# from the single-threaded bootstrap chunk, a threaded consumer, or a
+# from the single-threaded bootstrap chunk, a threaded worker, or a
 # mate-rescue extension — no extension escapes the funnel.
 total = counters["filter.verdict.total"]
 funnel = (counters["aligner.extensions"] +
