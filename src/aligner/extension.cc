@@ -62,17 +62,7 @@ ExtendResult
 SeedExEngine::extend(const Sequence &query, const Sequence &target, int h0)
 {
     ++calls_;
-    // The band policy runs the speculation ladder: for the fixed policy
-    // that is exactly one filtered rung at min(config band, BWA's
-    // estimate) plus the host full-band rerun on rejection (the
-    // pre-policy behavior); the adaptive policy predicts the first rung
-    // and escalates through wider filtered rungs first. Either way every
-    // rung replays the optimality checks, so accepted results stay
-    // bit-identical to the estimated-band baseline (narrow <= estimated
-    // <= unbanded, and acceptance proves narrow == unbanded).
-    const BandHint hint = hint_ != nullptr ? *hint_ : BandHint{};
-    return policy_.extend(filter_, query, target, h0, hint, &stats_)
-        .result;
+    return filter_.runWithRerun(query, target, h0, &stats_);
 }
 
 ChainAlignment
@@ -92,14 +82,6 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
         oriented_read.size(),
         oriented_read.size() + static_cast<size_t>(params.window_slack));
 
-    // Band-prediction signals for both flanks: the oriented read length,
-    // how much of it the chain's seeds cover, and how fragmented the
-    // chain is (junctions between seeds are where indels hide).
-    BandHint hint;
-    hint.read_len = n;
-    hint.chain_weight = chain.weight;
-    hint.n_seeds = static_cast<int>(chain.seeds.size());
-
     ChainAlignment out;
     out.reverse = chain.reverse;
     out.seed_score = anchor.len * params.scoring.match;
@@ -118,7 +100,7 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
             static_cast<uint64_t>(anchor.qbeg + params.window_slack));
         const Sequence t = reversed(reference.slice(
             anchor.rbeg - window, static_cast<size_t>(window)));
-        const ExtendResult r = engine.extendHinted(q, t, score, hint);
+        const ExtendResult r = engine.extend(q, t, score);
         out.max_off = std::max(out.max_off, r.max_off);
         // BWA's clip decision: prefer reaching the read end unless the
         // local max beats it by more than the end bonus.
@@ -145,7 +127,7 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
             static_cast<uint64_t>(remain + params.window_slack));
         const Sequence t =
             reference.slice(anchor.rend(), static_cast<size_t>(window));
-        const ExtendResult r = engine.extendHinted(q, t, score, hint);
+        const ExtendResult r = engine.extend(q, t, score);
         out.max_off = std::max(out.max_off, r.max_off);
         if (r.gscore <= 0 || r.gscore < r.score - params.end_bonus) {
             score = r.score;

@@ -6,10 +6,16 @@
 
 #include "aligner/chaining.h"
 #include "align/extend.h"
-#include "seedex/band_policy.h"
 #include "seedex/filter.h"
 
 namespace seedex {
+
+/** Placeholder type of ExtensionEngine::extendHinted. No engine reads
+ *  it; it is kept, empty, only because perfbench/trace.cc's engine
+ *  decorator still forwards one. */
+struct BandHint
+{
+};
 
 /**
  * Pluggable seed-extension engine: the pipeline stage SeedEx accelerates.
@@ -26,13 +32,8 @@ class ExtensionEngine
     virtual ExtendResult extend(const Sequence &query,
                                 const Sequence &target, int h0) = 0;
 
-    /**
-     * extend() with per-extension band-prediction signals attached. The
-     * hint is advisory: engines that ignore it (full band, banded) are
-     * unchanged, and the SeedEx engine's output is hint-independent by
-     * the band-invariance guarantee — hints only steer where DP work is
-     * spent. Decorators forward the active hint to their inner engine.
-     */
+    /** extend() with a BandHint attached; kept only for
+     *  perfbench/trace.cc, which forwards `hint_` through it. */
     ExtendResult
     extendHinted(const Sequence &query, const Sequence &target, int h0,
                  const BandHint &hint)
@@ -49,8 +50,8 @@ class ExtensionEngine
     uint64_t calls() const { return calls_; }
 
   protected:
-    /** Hint of the in-flight extendHinted() call; null for bare
-     *  extend() calls (degrades to the length-only prediction). */
+    /** Hint of the in-flight extendHinted() call (perfbench/trace.cc
+     *  only); null for extend() calls. */
     const BandHint *hint_ = nullptr;
     uint64_t calls_ = 0;
 };
@@ -100,17 +101,12 @@ class BandedEngine : public ExtensionEngine
 };
 
 /** The SeedEx engine: speculative narrow band + optimality checks +
- *  host rerun. Guaranteed band-invariant output. */
+ *  host rerun (SeedExFilter::runWithRerun). Guaranteed band-invariant
+ *  output. */
 class SeedExEngine : public ExtensionEngine
 {
   public:
-    explicit SeedExEngine(SeedExConfig config)
-        : SeedExEngine(config, BandPolicyConfig::fixed(config.band))
-    {}
-
-    SeedExEngine(SeedExConfig config, BandPolicyConfig policy)
-        : filter_(config), policy_(std::move(policy))
-    {}
+    explicit SeedExEngine(SeedExConfig config) : filter_(config) {}
 
     ExtendResult extend(const Sequence &query, const Sequence &target,
                         int h0) override;
@@ -120,12 +116,10 @@ class SeedExEngine : public ExtensionEngine
     }
 
     const FilterStats &stats() const { return stats_; }
-    const BandPolicy &policy() const { return policy_; }
 
   private:
     SeedExFilter filter_;
     FilterStats stats_;
-    BandPolicy policy_;
 };
 
 /** One extended chain: a candidate alignment of the oriented read. */

@@ -301,9 +301,9 @@ rescueMate(const std::string &name, const Sequence &mate,
         return rec;
 
     // Extend each candidate as a single-seed chain through the engine:
-    // extendChain routes both flanks through extendHinted with a
-    // BandHint, so rescue extensions hit the same speculate-and-test
-    // filter (and the same FilterStats funnel) as primary extensions.
+    // extendChain runs both flanks through engine.extend(), so rescue
+    // extensions hit the same speculate-and-test filter (and the same
+    // FilterStats funnel) as primary extensions.
     const uint64_t calls_before = engine.calls();
     ChainAlignment best;
     ChainAlignment runner_up;
@@ -452,6 +452,30 @@ finalizePair(SamRecord &first, SamRecord &second, const Sequence &read1,
     if (out.rescue_passes > 0)
         metrics.rescue_passes.inc(out.rescue_passes);
     return out;
+}
+
+void
+publishPairRecords(const PairOutcome &outcome, const SamRecord &first,
+                   const SamRecord &second,
+                   std::optional<obs::ReadRecord> &first_record,
+                   std::optional<obs::ReadRecord> &second_record)
+{
+    const auto publish = [&](std::optional<obs::ReadRecord> &rec,
+                             const SamRecord &sam, bool rescued) {
+        if (!rec)
+            return;
+        rec->paired = true;
+        rec->proper = outcome.proper;
+        rec->pair_rescued = rescued;
+        if (rescued)
+            rec->rescue_extensions += outcome.rescue_extensions;
+        rec->score = sam.score;
+        rec->mapped = sam.mapped();
+        obs::Ledger::global().publish(std::move(*rec));
+        rec.reset();
+    };
+    publish(first_record, first, outcome.rescued_first);
+    publish(second_record, second, outcome.rescued_second);
 }
 
 PairedCounters

@@ -2,6 +2,7 @@
 #define SEEDEX_ALIGNER_PAIRED_H
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -109,10 +110,9 @@ bool isProperPair(const SamRecord &a, const SamRecord &b,
  * Window-local mate rescue routed through the extension engine (BWA's
  * mem_matesw, SeedEx-checked): exact k-mer anchors of the oriented mate
  * are collected inside the insert window implied by `anchor`, the best
- * few become single-seed chains extended via extendChain() — i.e.
- * ExtensionEngine::extendHinted with a BandHint — so each rescue
- * extension gets the same full-band bit-equality acceptance proof (and
- * FilterStats funnel) as a primary extension. Returns an unmapped
+ * few become single-seed chains extended via extendChain(), so each
+ * rescue extension gets the same full-band bit-equality acceptance
+ * proof (and FilterStats funnel) as a primary extension. Returns an unmapped
  * record when no candidate clears the confidence gate.
  *
  * @param extensions_out Incremented by the engine extensions spent.
@@ -136,6 +136,19 @@ SamRecord rescueMate(const std::string &name, const Sequence &mate,
 PairOutcome finalizePair(SamRecord &first, SamRecord &second,
                          const Sequence &read1, const Sequence &read2,
                          ExtensionEngine &engine, const PairContext &ctx);
+
+/**
+ * Fold a finalized pair's outcome into its mates' held ledger records
+ * (pair flags, rescue attribution, and the final score and mapped state,
+ * which rescue can change) and publish them. Either record may be empty
+ * (ledger off, read sampled out). Every path that holds records until
+ * finalization calls this: the threaded workers and the paired CLI's
+ * insert-size bootstrap.
+ */
+void publishPairRecords(const PairOutcome &outcome, const SamRecord &first,
+                        const SamRecord &second,
+                        std::optional<obs::ReadRecord> &first_record,
+                        std::optional<obs::ReadRecord> &second_record);
 
 /** Snapshot of the process-wide seedex.paired.* instruments (the
  *  `paired` run-report section shares one writer with benches). */

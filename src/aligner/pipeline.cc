@@ -72,12 +72,9 @@ class CapturingEngine : public ExtensionEngine
     extend(const Sequence &query, const Sequence &target, int h0) override
     {
         ++calls_;
-        // Forward the active hint so captured jobs carry the same
-        // band-prediction signals the inner engine sees.
-        const BandHint hint = hint_ != nullptr ? *hint_ : BandHint{};
         if (sink_)
-            sink_->push_back({query, target, h0, hint});
-        return inner_.extendHinted(query, target, h0, hint);
+            sink_->push_back({query, target, h0});
+        return inner_.extend(query, target, h0);
     }
 
     std::string name() const override { return inner_.name(); }
@@ -105,9 +102,7 @@ makeEngine(const PipelineConfig &config)
         SeedExConfig sx = config.seedex;
         sx.band = config.band;
         sx.scoring = config.extension.scoring;
-        BandPolicyConfig pol = config.band_policy;
-        pol.base_band = config.band;
-        return std::make_unique<SeedExEngine>(sx, std::move(pol));
+        return std::make_unique<SeedExEngine>(sx);
       }
     }
     return nullptr;
@@ -216,7 +211,8 @@ SamRecord
 Aligner::alignSeeded(const std::string &name, const Sequence &read,
                      const std::vector<Seed> &seeds, double seed_seconds,
                      PipelineStats *stats,
-                     std::vector<ExtensionJob> *capture)
+                     std::vector<ExtensionJob> *capture,
+                     std::optional<obs::ReadRecord> *held)
 {
     // Provenance ledger: one record per read when enabled; alignChains
     // and the lower layers (filter funnel, extend kernel) attribute onto
@@ -277,6 +273,8 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
                name.c_str(), n_chains,
                static_cast<unsigned long long>(aln.extensions),
                rec.mapped() ? 1 : 0);
+    if (held != nullptr && ledger_scope.record() != nullptr)
+        *held = ledger_scope.release();
     return std::move(aln.record);
 }
 
@@ -284,6 +282,24 @@ std::vector<SamRecord>
 Aligner::alignBatch(
     const std::vector<std::pair<std::string, Sequence>> &reads,
     PipelineStats *stats, std::vector<ExtensionJob> *capture)
+{
+    return alignReads(reads, stats, capture, nullptr);
+}
+
+std::vector<SamRecord>
+Aligner::alignBatch(
+    const std::vector<std::pair<std::string, Sequence>> &reads,
+    std::vector<std::optional<obs::ReadRecord>> &held)
+{
+    held.assign(reads.size(), std::nullopt);
+    return alignReads(reads, nullptr, nullptr, held.data());
+}
+
+std::vector<SamRecord>
+Aligner::alignReads(
+    const std::vector<std::pair<std::string, Sequence>> &reads,
+    PipelineStats *stats, std::vector<ExtensionJob> *capture,
+    std::optional<obs::ReadRecord> *held)
 {
     std::vector<SamRecord> records;
     records.reserve(reads.size());
@@ -302,9 +318,10 @@ Aligner::alignBatch(
         seed_watch.stop();
         const double per_read = seed_watch.seconds() / n;
         for (size_t r = 0; r < n; ++r)
-            records.push_back(alignSeeded(reads[base + r].first,
-                                          reads[base + r].second, seeds[r],
-                                          per_read, stats, capture));
+            records.push_back(alignSeeded(
+                reads[base + r].first, reads[base + r].second, seeds[r],
+                per_read, stats, capture,
+                held != nullptr ? held + base + r : nullptr));
     }
     return records;
 }

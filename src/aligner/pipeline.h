@@ -2,6 +2,7 @@
 #define SEEDEX_ALIGNER_PIPELINE_H
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "aligner/chaining.h"
@@ -10,6 +11,7 @@
 #include "aligner/seeding.h"
 #include "fmindex/fmd_index.h"
 #include "hw/throughput_model.h"
+#include "obs/ledger.h"
 #include "util/stopwatch.h"
 
 namespace seedex {
@@ -32,11 +34,6 @@ struct PipelineConfig
     /** Band for Banded/SeedEx engines. */
     int band = 41;
     SeedExConfig seedex;
-    /** Band-speculation policy for the SeedEx engine (fixed = the
-     *  paper's one-shot workflow). `base_band` is overridden with
-     *  `band` when the engine is built, so `--band` stays the single
-     *  knob for the speculation cap. */
-    BandPolicyConfig band_policy;
     /** Contig dictionary for SAM emission (RNAME/POS resolution); the
      *  empty default is the legacy single-contig "ref" mode. */
     ContigTable contigs;
@@ -127,18 +124,37 @@ class Aligner
                PipelineStats *stats = nullptr,
                std::vector<ExtensionJob> *capture = nullptr);
 
+    /** alignBatch() that holds each read's ledger record in `held`
+     *  (index-aligned with `reads`; empty when the ledger is off or the
+     *  read was sampled out) instead of publishing it, so the caller
+     *  can fold later facts in first: the paired CLI's insert-size
+     *  bootstrap publishes them through publishPairRecords(). */
+    std::vector<SamRecord>
+    alignBatch(const std::vector<std::pair<std::string, Sequence>> &reads,
+               std::vector<std::optional<obs::ReadRecord>> &held);
+
     const FmdIndex &index() const { return *index_; }
     const Sequence &reference() const { return ref_; }
     ExtensionEngine &engine() { return *engine_; }
     const PipelineConfig &config() const { return config_; }
 
   private:
+    /** Both alignBatch() overloads; `held` (nullable) points at one
+     *  slot per read. */
+    std::vector<SamRecord>
+    alignReads(const std::vector<std::pair<std::string, Sequence>> &reads,
+               PipelineStats *stats, std::vector<ExtensionJob> *capture,
+               std::optional<obs::ReadRecord> *held);
+
     /** Chain, extend, and emit one read whose seeds were already
-     *  collected (`seed_seconds` is charged to the seeding stage). */
+     *  collected (`seed_seconds` is charged to the seeding stage). The
+     *  read's ledger record is published, or moved into `*held` when
+     *  `held` is non-null. */
     SamRecord alignSeeded(const std::string &name, const Sequence &read,
                           const std::vector<Seed> &seeds,
                           double seed_seconds, PipelineStats *stats,
-                          std::vector<ExtensionJob> *capture);
+                          std::vector<ExtensionJob> *capture,
+                          std::optional<obs::ReadRecord> *held = nullptr);
 
     Sequence ref_;
     PipelineConfig config_;

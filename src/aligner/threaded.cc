@@ -190,11 +190,10 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     const size_t seed_chunk = seedBatchSize();
     const auto run_worker = [&] {
         // One engine per worker, built exactly as the Aligner builds its
-        // own; it extends chains and rescues mates alike. Engine state
-        // (band-predictor history, filter tallies) depends on which
-        // batches a worker draws but never reaches the output: accepted
-        // narrow-band results carry the full-band optimality proof, so
-        // SAM bytes are schedule-independent.
+        // own; it extends chains and rescues mates alike. Its filter
+        // tallies depend on which batches a worker draws but never reach
+        // the output: accepted narrow-band results carry the full-band
+        // optimality proof, so SAM bytes are schedule-independent.
         const std::unique_ptr<ExtensionEngine> engine =
             makeEngine(config.pipeline);
         const auto *seedex_engine =
@@ -290,23 +289,8 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
                 pair_rescues += po.rescued() ? 1 : 0;
                 pair_rescue_ext += po.rescue_extensions;
                 pair_rescue_passes += po.rescue_passes;
-                for (size_t m = 0; m < 2; ++m) {
-                    std::optional<obs::ReadRecord> &rec = held[i + m];
-                    if (!rec)
-                        continue;
-                    rec->paired = true;
-                    rec->proper = po.proper;
-                    const bool rescued =
-                        m == 0 ? po.rescued_first : po.rescued_second;
-                    rec->pair_rescued = rescued;
-                    if (rescued)
-                        rec->rescue_extensions += po.rescue_extensions;
-                    // Rescue can replace the record outright.
-                    rec->score = recs[i + m].score;
-                    rec->mapped = recs[i + m].mapped();
-                    obs::Ledger::global().publish(std::move(*rec));
-                    rec.reset();
-                }
+                publishPairRecords(po, recs[i], recs[i + 1], held[i],
+                                   held[i + 1]);
             }
             my_seeding_cpu += cpu_seeded - cpu_begin;
             my_extension_cpu += threadCpuSeconds() - cpu_seeded;

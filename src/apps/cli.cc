@@ -8,6 +8,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,11 +59,6 @@ const char kUsage[] =
     "  --engine=NAME       fullband | banded | seedex   [seedex]\n"
     "  --band=N            band width for banded/seedex engines "
     "(SEEDEX_BAND)\n"
-    "  --band-policy=NAME  fixed | adaptive band speculation for the\n"
-    "                      seedex engine (SEEDEX_BAND_POLICY)  [fixed]\n"
-    "  --band-ladder=LIST  comma-separated ascending escalation bands\n"
-    "                      for --band-policy=adaptive "
-    "(SEEDEX_BAND_LADDER)\n"
     "  --threads=N         worker threads, each seeding and extending its\n"
     "                      own batches (SEEDEX_THREADS)  [1, max 1024]\n"
     "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
@@ -300,10 +296,9 @@ cmdAlign(int argc, char **argv)
 {
     const Args args = parseArgs(
         argc, argv, 2,
-        {"--engine", "--band", "--band-policy", "--band-ladder",
-         "--threads", "--metrics-out", "--trace-out", "--ledger-out",
-         "--ledger-sample", "--interleaved", "--insert-mean", "--insert-sd",
-         "--no-rescue"},
+        {"--engine", "--band", "--threads", "--metrics-out", "--trace-out",
+         "--ledger-out", "--ledger-sample", "--interleaved", "--insert-mean",
+         "--insert-sd", "--no-rescue"},
         {"-o", "-1", "-2"});
 
     // Paired-end input shape: -1/-2 (two files, no reads operand) or
@@ -346,9 +341,9 @@ cmdAlign(int argc, char **argv)
     // a usage error (exit 2) even when the inputs are also unreadable.
     PipelineConfig pconfig;
     pconfig.engine = parseEngine(args.get("--engine", "seedex"));
-    // Band knobs follow the CLI-wide precedence contract: an explicit
-    // flag beats the SEEDEX_* environment variable, which beats the
-    // built-in default (see the README flag table).
+    // The band follows the CLI-wide precedence contract: --band beats
+    // SEEDEX_BAND, which beats the built-in default (see the README
+    // flag table).
     if (args.has("--band")) {
         pconfig.band = static_cast<int>(
             args.getLongIn("--band", pconfig.band, 1, INT_MAX));
@@ -358,40 +353,21 @@ cmdAlign(int argc, char **argv)
         if (end != v && *end == '\0' && n > 0 && n <= INT_MAX)
             pconfig.band = static_cast<int>(n);
     }
-    const std::string policy_name =
-        args.getOrEnv("--band-policy", "SEEDEX_BAND_POLICY");
-    if (!policy_name.empty()) {
-        try {
-            pconfig.band_policy.kind = parseBandPolicyKind(policy_name);
-        } catch (const std::invalid_argument &e) {
-            throw UsageError(e.what());
-        }
-    }
-    const std::string ladder_spec =
-        args.getOrEnv("--band-ladder", "SEEDEX_BAND_LADDER");
-    if (!ladder_spec.empty()) {
-        try {
-            pconfig.band_policy.ladder = parseBandLadder(ladder_spec);
-        } catch (const std::invalid_argument &e) {
-            throw UsageError(e.what());
-        }
-    }
 
     // Worker count: --threads beats SEEDEX_THREADS, which beats 1.
-    // Counts above kMaxWorkerThreads are usage errors, caught here
-    // before any input is read or thread started.
+    // Counts outside [1, kMaxWorkerThreads] are usage errors, caught
+    // here before any input is read or thread started.
     ThreadedConfig tconfig;
-    try {
-        tconfig.setTotalThreads(1);
-        if (args.has("--threads"))
-            tconfig.setTotalThreads(args.getLong("--threads", 1));
-        else
+    tconfig.setTotalThreads(1);
+    if (args.has("--threads")) {
+        tconfig.setTotalThreads(
+            args.getLongIn("--threads", 1, 1, kMaxWorkerThreads));
+    } else {
+        try {
             tconfig.applyEnv();
-    } catch (const std::invalid_argument &e) {
-        throw UsageError(std::string(args.has("--threads")
-                                         ? "--threads: "
-                                         : "SEEDEX_THREADS: ") +
-                         e.what());
+        } catch (const std::invalid_argument &e) {
+            throw UsageError(std::string("SEEDEX_THREADS: ") + e.what());
+        }
     }
     const long threads = tconfig.workers();
     const long ledger_sample =
@@ -462,7 +438,10 @@ cmdAlign(int argc, char **argv)
             chunk.emplace_back(p.name, p.first);
             chunk.emplace_back(p.name, p.second);
         }
-        std::vector<SamRecord> recs = aligner.alignBatch(chunk);
+        // Ledger records are held until the pair is finalized, so they
+        // carry the pair fields just as the workers' records do.
+        std::vector<std::optional<obs::ReadRecord>> held;
+        std::vector<SamRecord> recs = aligner.alignBatch(chunk, held);
         if (!insert_override) {
             InsertEstimator est(insert_prior);
             for (size_t i = 0; i + 1 < recs.size(); i += 2)
@@ -474,8 +453,11 @@ cmdAlign(int argc, char **argv)
                               pconfig.extension, insert_model,
                               mate_rescue};
         for (size_t i = 0; i + 1 < recs.size(); i += 2) {
-            finalizePair(recs[i], recs[i + 1], chunk[i].second,
-                         chunk[i + 1].second, aligner.engine(), ctx);
+            const PairOutcome po =
+                finalizePair(recs[i], recs[i + 1], chunk[i].second,
+                             chunk[i + 1].second, aligner.engine(), ctx);
+            publishPairRecords(po, recs[i], recs[i + 1], held[i],
+                               held[i + 1]);
             out << recs[i].render() << '\n'
                 << recs[i + 1].render() << '\n';
         }
@@ -563,18 +545,8 @@ cmdAlign(int argc, char **argv)
             w.kv("reads", total_reads);
             w.kv("wall_seconds", wall.seconds());
             w.kv("engine", args.get("--engine", "seedex"));
+            w.kv("band", static_cast<int64_t>(pconfig.band));
             w.kv("threads", static_cast<uint64_t>(threads));
-        });
-        report.section("band_policy", [&](obs::JsonWriter &w) {
-            w.kv("kind", bandPolicyKindName(pconfig.band_policy.kind));
-            w.kv("base_band", static_cast<int64_t>(pconfig.band));
-            w.kv("min_band",
-                 static_cast<int64_t>(pconfig.band_policy.min_band));
-            const obs_detail::BandPolicyCounters bp = bandPolicyCounters();
-            w.kv("predicted", bp.predicted);
-            w.kv("escalations", bp.escalations);
-            w.kv("ladder_hits", bp.ladder_hits);
-            w.kv("rerun_cells_saved", bp.rerun_cells_saved);
         });
         report.section("threaded", [&](obs::JsonWriter &w) {
             w.kv("threads", static_cast<int64_t>(threads));

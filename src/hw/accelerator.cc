@@ -56,18 +56,13 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
     const SeedExConfig &cfg = filter_.config();
     SystolicBswCore bsw(cfg.band, cfg.scoring);
 
-    // Functional path: the fixed one-shot speculation at the filter's
-    // band capped at BWA's per-flank estimate (SeedExFilter checks,
-    // full-band host rerun on rejection).
-    BandPolicy policy(BandPolicyConfig::fixed(cfg.band));
-
     for (const ExtensionJob &job : jobs) {
-        const int est = estimateFullBand(
-            static_cast<int>(job.query.size()), cfg.scoring,
-            cfg.end_bonus);
-        const LadderOutcome lo = policy.extend(filter_, job.query,
-                                               job.target, job.h0,
-                                               job.hint, &batch.stats);
+        // Functional path: the SeedEx engine's one speculation step
+        // (checks at the filter's band capped at BWA's per-flank
+        // estimate, full-band host rerun on rejection).
+        FilterOutcome outcome;
+        const ExtendResult result = filter_.runWithRerun(
+            job.query, job.target, job.h0, &batch.stats, &outcome);
 
         // Timing + exception path: the systolic model of the same core.
         BswCoreStats stats;
@@ -79,7 +74,7 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
         *target_core += stats.cycles;
         batch.busy_cycles += stats.cycles;
 
-        if (lo.ran_edit_machine) {
+        if (outcome.ran_edit_machine) {
             EditMachineStats estats;
             edit_machine_.run(job.query, job.target, job.h0, cfg.scoring,
                               &estats);
@@ -88,22 +83,24 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
 
         if (stats.early_term_exception)
             ++batch.reruns_exception;
-        else if (!lo.accepted)
+        else if (!outcome.isAccepted())
             ++batch.reruns_checks;
-        if (stats.early_term_exception && lo.accepted) {
+        if (stats.early_term_exception && outcome.isAccepted()) {
             // Speculative early-termination exception on an accepted
             // extension: the device result cannot be trusted, so the
             // host recomputes at the conservatively estimated full band.
             ExtendConfig full;
             full.scoring = cfg.scoring;
-            full.band = est;
+            full.band = estimateFullBand(
+                static_cast<int>(job.query.size()), cfg.scoring,
+                cfg.end_bonus);
             full.zdrop = cfg.zdrop;
             batch.results.push_back(
                 kswExtend(job.query, job.target, job.h0, full));
         } else {
-            // Accepted rung result, or the ladder's own full-band
-            // fallback (already guaranteed-optimal).
-            batch.results.push_back(lo.result);
+            // Accepted narrow result, or the host rerun (already
+            // guaranteed-optimal).
+            batch.results.push_back(result);
         }
     }
     batch.device_cycles = core_busy.empty()

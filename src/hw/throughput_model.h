@@ -6,7 +6,6 @@
 
 #include "hw/area_model.h"
 #include "hw/systolic.h"
-#include "seedex/band_policy.h"
 
 namespace seedex {
 
@@ -16,9 +15,6 @@ struct ExtensionJob
     Sequence query;
     Sequence target;
     int h0 = 1;
-    /** Band-prediction signals captured when the job was packaged
-     *  (advisory; all-zeros degrades to the length-only prediction). */
-    BandHint hint;
 };
 
 /** Measured shape of a batch of extensions (drives the cycle model). */

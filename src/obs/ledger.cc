@@ -173,7 +173,6 @@ Ledger::summary() const
                 s.verdicts[v] += r.verdicts[v];
             s.edit_machine_runs += r.edit_machine_runs;
             s.reruns += r.reruns;
-            s.ladder_rungs += r.ladder_rungs;
             s.zdrops += r.zdrops;
             s.band_clips += r.band_clips;
             s.global_fills += r.global_fills;
@@ -203,7 +202,6 @@ Ledger::toJsonl() const
         w.kv("chains", static_cast<uint64_t>(r.chains));
         w.kv("chain", static_cast<int64_t>(r.chain_chosen));
         w.kv("band", static_cast<int64_t>(r.band));
-        w.kv("band_predicted", static_cast<int64_t>(r.band_predicted));
         w.kv("band_used", static_cast<int64_t>(r.band_used));
         w.kv("kernel_calls", static_cast<uint64_t>(r.kernel_calls));
         w.kv("extensions", static_cast<uint64_t>(r.extensions));
@@ -215,7 +213,6 @@ Ledger::toJsonl() const
         w.kv("edit_machine_runs",
              static_cast<uint64_t>(r.edit_machine_runs));
         w.kv("reruns", static_cast<uint64_t>(r.reruns));
-        w.kv("ladder_rungs", static_cast<uint64_t>(r.ladder_rungs));
         w.kv("zdrops", static_cast<uint64_t>(r.zdrops));
         w.kv("band_clips", static_cast<uint64_t>(r.band_clips));
         w.kv("global_fills", static_cast<uint64_t>(r.global_fills));

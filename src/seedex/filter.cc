@@ -33,6 +33,10 @@ struct VerdictCounters
             "filter.verdict.fail_gscore_guard");
     obs::Counter &edit_machine_runs =
         obs::MetricsRegistry::global().counter("filter.edit_machine.runs");
+    /** Always 0: one speculative rung never escalates to a wider one.
+     *  Registered only because perfbench/trace.cc reads the name. */
+    obs::Counter &band_escalations =
+        obs::MetricsRegistry::global().counter("seedex.band.escalations");
 };
 
 VerdictCounters &
@@ -96,6 +100,13 @@ FilterOutcome
 SeedExFilter::run(const Sequence &query, const Sequence &target,
                   int h0) const
 {
+    return runAt(query, target, h0, config_.band);
+}
+
+FilterOutcome
+SeedExFilter::runAt(const Sequence &query, const Sequence &target, int h0,
+                    int band) const
+{
     FilterOutcome out;
     const int qlen = static_cast<int>(query.size());
 
@@ -105,12 +116,12 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
     BandEdgeTrace &trace = DpWorkspace::tls().edge_trace;
     ExtendConfig cfg;
     cfg.scoring = config_.scoring;
-    cfg.band = config_.band;
+    cfg.band = band;
     cfg.zdrop = config_.zdrop;
     cfg.edge_trace = &trace;
     out.narrow = kswExtend(query, target, h0, cfg);
 
-    out.thresholds = computeThresholds(qlen, config_.band, h0,
+    out.thresholds = computeThresholds(qlen, band, h0,
                                        config_.scoring, config_.kind);
     const int score = out.narrow.score;
 
@@ -127,7 +138,7 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
         return eScoreBound(trace, qlen, config_.scoring.match);
     };
     auto computeEdit = [&] {
-        return editCheck(query, target, config_.band, h0, config_.scoring);
+        return editCheck(query, target, band, h0, config_.scoring);
     };
 
     Verdict verdict;
@@ -196,19 +207,24 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
 
 ExtendResult
 SeedExFilter::runWithRerun(const Sequence &query, const Sequence &target,
-                           int h0, FilterStats *stats) const
+                           int h0, FilterStats *stats,
+                           FilterOutcome *outcome) const
 {
-    FilterOutcome outcome = run(query, target, h0);
+    const int est = estimateFullBand(static_cast<int>(query.size()),
+                                     config_.scoring, config_.end_bonus);
+    const FilterOutcome o =
+        runAt(query, target, h0, std::min(config_.band, est));
     if (stats)
-        stats->add(outcome);
-    if (outcome.isAccepted())
-        return outcome.narrow;
+        stats->add(o);
+    if (outcome)
+        *outcome = o;
+    if (o.isAccepted())
+        return o.narrow;
 
     // Host rerun with BWA-MEM's conservatively estimated full band.
     ExtendConfig cfg;
     cfg.scoring = config_.scoring;
-    cfg.band = estimateFullBand(static_cast<int>(query.size()),
-                                config_.scoring, config_.end_bonus);
+    cfg.band = est;
     cfg.zdrop = config_.zdrop;
     return kswExtend(query, target, h0, cfg);
 }

@@ -128,9 +128,9 @@ struct FilterStats
  * The SeedEx speculation-and-test filter (§III, Fig. 6).
  *
  * run() speculatively executes the narrow-band kernel and applies the
- * optimality checks; the caller reruns rejected extensions with the full
- * band (runWithRerun() does both and is guaranteed to return the
- * full-band-optimal result).
+ * optimality checks; runWithRerun() is the whole one-step workflow the
+ * SeedEx engine and the device model run, and is guaranteed to return
+ * the full-band-optimal result.
  */
 class SeedExFilter
 {
@@ -139,20 +139,30 @@ class SeedExFilter
 
     const SeedExConfig &config() const { return config_; }
 
-    /** Speculate on the narrow band and test optimality. */
+    /** Speculate on the configured narrow band and test optimality. */
     FilterOutcome run(const Sequence &query, const Sequence &target,
                       int h0) const;
 
     /**
-     * Full workflow: speculate, test, and rerun on failure with the
-     * full band estimated by BWA-MEM's formula (host path in Fig. 6).
+     * Full workflow: speculate at min(band, BWA-MEM's per-extension
+     * estimate), test, and on rejection rerun at the estimated full
+     * band (host path in Fig. 6). The cap keeps the result
+     * byte-identical to the full-band engine: a band wider than the
+     * estimate could accept a path the full band never sees.
      *
-     * @param stats Optional counters to accumulate into.
+     * @param stats   Optional counters; receives exactly one outcome.
+     * @param outcome Optional: the speculative run's verdict (the device
+     *                model reads acceptance and edit-machine use).
      */
     ExtendResult runWithRerun(const Sequence &query, const Sequence &target,
-                              int h0, FilterStats *stats = nullptr) const;
+                              int h0, FilterStats *stats = nullptr,
+                              FilterOutcome *outcome = nullptr) const;
 
   private:
+    /** run() at an explicit band half-width. */
+    FilterOutcome runAt(const Sequence &query, const Sequence &target,
+                        int h0, int band) const;
+
     SeedExConfig config_;
 };
 

@@ -465,9 +465,11 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "index", "ref.fa"}), 2); // missing -o
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--bogus=1"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=soon"}), 2);
-    // Worker counts above the limit are refused before any input is
+    // Worker counts outside [1, 1024] are refused before any input is
     // read or thread started.
-    EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=100000"}), 2);
+    for (const char *flag :
+         {"--threads=100000", "--threads=0", "--threads=-5"})
+        EXPECT_EQ(cli({"seedex", "align", "a", "b", flag}), 2) << flag;
     // Band widths and ledger strides outside [1, INT_MAX] and
     // [1, UINT32_MAX] are refused instead of wrapping.
     for (const char *flag :
@@ -615,10 +617,9 @@ TEST_F(CliPrecedence, BandFlagBeatsEnv)
 {
     ScopedEnv env("SEEDEX_BAND", "7");
     // Env alone reaches the pipeline...
-    EXPECT_EQ(jsonValue(alignReport("band_env", {}), "base_band"), "7");
+    EXPECT_EQ(jsonValue(alignReport("band_env", {}), "band"), "7");
     // ...but an explicit flag always wins.
-    EXPECT_EQ(jsonValue(alignReport("band_flag", {"--band=21"}),
-                        "base_band"),
+    EXPECT_EQ(jsonValue(alignReport("band_flag", {"--band=21"}), "band"),
               "21");
 }
 
@@ -635,32 +636,26 @@ TEST_F(CliPrecedence, ThreadLimitAppliesToEnvToo)
               1);
 }
 
-TEST_F(CliPrecedence, BandPolicyFlagBeatsEnv)
-{
-    ScopedEnv env("SEEDEX_BAND_POLICY", "adaptive");
-    EXPECT_EQ(jsonValue(alignReport("pol_env", {}), "kind"), "adaptive");
-    EXPECT_EQ(jsonValue(alignReport("pol_flag", {"--band-policy=fixed"}),
-                        "kind"),
-              "fixed");
-}
-
 TEST_F(CliPrecedence, BadPolicyValuesAreUsageErrors)
 {
+    // The band-policy flags are gone: the SeedEx engine runs one
+    // speculative rung at --band, so every value, well-formed or not, is
+    // a usage error before any input is read or output opened.
     const Workload w = buildWorkload("badpol", 3);
     const std::string out = tempPath("badpol.sam");
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-policy=greedy"}),
-              2);
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-ladder=19,9"}),
-              2);
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-ladder=banana"}),
-              2);
-    // A well-formed adaptive run with an explicit ladder is accepted.
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-policy=adaptive",
-                   "--band-ladder=11,23,41"}),
+    for (const char *flag :
+         {"--band-policy=fixed", "--band-policy=adaptive",
+          "--band-policy=greedy", "--band-ladder=11,23,41",
+          "--band-ladder=19,9", "--band-ladder=banana"}) {
+        EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                       out, "--engine=seedex", flag}),
+                  2)
+            << flag;
+        EXPECT_FALSE(std::filesystem::exists(out)) << flag;
+    }
+    // Without them the same run succeeds.
+    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o", out,
+                   "--engine=seedex"}),
               0);
 }
 
@@ -684,6 +679,35 @@ TEST(CliSeedingEnv, RemovedSeedingKnobsChangeNothing)
     ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", knobbed}), 0);
     EXPECT_TRUE(slurp(plain) == slurp(knobbed))
         << "index bytes depend on the environment";
+}
+
+TEST(CliBandEnv, RemovedBandPolicyKnobsChangeNothing)
+{
+    // SEEDEX_BAND_POLICY and SEEDEX_BAND_LADDER are no longer read: the
+    // SeedEx engine's one speculative rung writes the same SAM body with
+    // or without them.
+    const Workload w = buildWorkload("bandenv", 60);
+    const std::string plain = tempPath("bandenv_plain.sam");
+    const std::string knobbed = tempPath("bandenv_knobbed.sam");
+    ASSERT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                   plain}),
+              0);
+    ScopedEnv policy("SEEDEX_BAND_POLICY", "adaptive");
+    ScopedEnv ladder("SEEDEX_BAND_LADDER", "9");
+    ASSERT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                   knobbed}),
+              0);
+    const auto body = [](const std::string &path) {
+        std::string text = slurp(path);
+        size_t at = 0;
+        while (at < text.size() && text[at] == '@')
+            at = text.find('\n', at) + 1;
+        return text.substr(at);
+    };
+    const std::string want = body(plain);
+    EXPECT_FALSE(want.empty());
+    EXPECT_TRUE(body(knobbed) == want)
+        << "SAM body depends on the removed band-policy variables";
 }
 
 TEST(SamSpec, UnmappedRecordFields)

@@ -22,6 +22,7 @@
 #include "align/dp.h"
 #include "align/kernel.h"
 #include "align/workspace.h"
+#include "aligner/extension.h"
 #include "hw/edit_machine.h"
 #include "hw/systolic.h"
 #include "obs/metrics.h"
@@ -542,6 +543,38 @@ TEST(ZeroAlloc, SteadyStateExtensionPathsDoNotAllocate)
     EXPECT_EQ(ws.growEvents(), grows_before)
         << "workspace grew after warm-up";
     EXPECT_GT(ws.bytesReserved(), 0u);
+}
+
+TEST(ZeroAlloc, SeedExEngineAllocatesNothingAfterWarmup)
+{
+    // The SeedEx engine's one speculation step — accepted narrow runs
+    // and full-band reruns alike — reuses the thread's DP workspace.
+    Rng rng(77);
+    std::vector<Case> cases;
+    cases.reserve(64);
+    for (int i = 0; i < 64; ++i) {
+        Case c;
+        c.t = randomSeq(rng, 60 + static_cast<int>(rng.below(120)), false);
+        c.q = i % 4 == 0
+            ? randomSeq(rng, static_cast<int>(c.t.size()) - 20, false)
+            : mutated(rng, c.t, static_cast<int>(c.t.size()) - 20, false);
+        c.h0 = 10 + static_cast<int>(rng.below(50));
+        cases.push_back(std::move(c));
+    }
+    SeedExEngine engine{SeedExConfig{}};
+    for (const Case &c : cases)
+        engine.extend(c.q, c.t, c.h0);
+
+    const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+    for (int round = 0; round < 4; ++round)
+        for (const Case &c : cases)
+            engine.extend(c.q, c.t, c.h0);
+    EXPECT_EQ(g_new_calls.load(std::memory_order_relaxed), before)
+        << "SeedEx engine steady state must not allocate";
+    const FilterStats &stats = engine.stats();
+    EXPECT_GT(stats.pass_s2 + stats.pass_checks, 0u);
+    EXPECT_LT(stats.pass_s2 + stats.pass_checks, stats.total)
+        << "no full-band rerun exercised";
 }
 
 TEST(ZeroAlloc, WorkspaceGrowthIsGeometricAndCounted)

@@ -173,8 +173,9 @@ TEST(Ledger, ThreadedRecordsEqualSingleThreadedUnderFixedPolicy)
 {
     // Threaded workers run the Aligner's per-read body through the
     // engine the config selects, with the same thread-local ledger
-    // hooks, so under the fixed band policy every schedule-independent
-    // field matches the single-threaded record — for every engine.
+    // hooks, so every schedule-independent field matches the
+    // single-threaded record — for every engine. (The test name dates
+    // from when a second, adaptive band policy existed.)
     const Workload w = makeWorkload(120000, 400, 0x1ed6e404);
     const auto records = [&](const PipelineConfig &pcfg, bool threaded) {
         LedgerGuard guard(1);
@@ -346,6 +347,54 @@ TEST(Ledger, ConcurrentPublishersMergeCompletely)
         EXPECT_EQ(recs[i].read_index, i);
     EXPECT_EQ(obs::Ledger::global().summary().extensions,
               static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(Ledger, BandedEngineReportsZdropAndClip)
+{
+    // The unguaranteed banded engine records why its output may diverge
+    // from the full band: a band-2 engine on an indel-rich pair must
+    // clip (max_off at the band edge); a zdrop-5 engine on a read whose
+    // tail is garbage must z-drop.
+    LedgerGuard guard(1);
+    Rng rng(91);
+    std::vector<Base> tv;
+    for (int i = 0; i < 120; ++i)
+        tv.push_back(static_cast<Base>(rng.pick(4)));
+
+    { // clip: one inserted base every 20 target bases drifts the
+      // optimal diagonal past a band of 2 while the score keeps rising,
+      // so the running max is updated at the band edge (max_off == w).
+        std::vector<Base> qv;
+        for (size_t i = 0; i < tv.size(); ++i) {
+            if (i > 0 && i % 20 == 0)
+                qv.push_back(static_cast<Base>(rng.pick(4)));
+            qv.push_back(tv[i]);
+        }
+        BandedEngine engine(2);
+        obs::ReadScope scope("clipped");
+        ASSERT_NE(scope.record(), nullptr);
+        engine.extend(Sequence(std::vector<Base>(qv)), Sequence(tv), 30);
+        EXPECT_GE(scope.record()->band_clips, 1u);
+        EXPECT_EQ(scope.record()->zdrops, 0u);
+    }
+    { // zdrop: 40 matching bases then 80 of noise, tight zdrop
+        std::vector<Base> qv(tv.begin(), tv.begin() + 40);
+        for (int i = 0; i < 80; ++i)
+            qv.push_back(
+                static_cast<Base>((static_cast<uint64_t>(
+                                       tv[40 + i % 60]) +
+                                   1 + rng.pick(3)) %
+                                  4));
+        BandedEngine engine(41, Scoring::bwaDefault(), 5, /*zdrop=*/5);
+        obs::ReadScope scope("dropped");
+        ASSERT_NE(scope.record(), nullptr);
+        engine.extend(Sequence(std::move(qv)), Sequence(tv), 30);
+        EXPECT_GE(scope.record()->zdrops, 1u);
+    }
+
+    const obs::LedgerSummary sum = obs::Ledger::global().summary();
+    EXPECT_GE(sum.band_clips, 1u);
+    EXPECT_GE(sum.zdrops, 1u);
 }
 
 } // namespace

@@ -743,5 +743,48 @@ TEST_F(PairedCli, LedgerNumbersEveryReadOnce)
     }
 }
 
+TEST_F(PairedCli, EveryLedgerRecordCarriesPairFields)
+{
+    // The bootstrap's records are held until their pair is finalized,
+    // like the workers' records, so every read of a paired run carries
+    // the pair fields and the proper flags agree with the SAM body.
+    const std::string prefix = path("pairfields");
+    ASSERT_EQ(cli({"seedex", "simulate", "-o", prefix, "--paired",
+                   "--length=200000", "--reads=1100", "--seed=37"}),
+              0);
+    const size_t n_reads = 2 * 1100; // more than the bootstrap chunk
+    for (const char *threads : {"--threads=1", "--threads=3"}) {
+        const std::string ledger = path("pairfields.jsonl");
+        const std::string sam = path("pairfields.sam");
+        ASSERT_EQ(cli({"seedex", "align", prefix + ".fa", "-1",
+                       prefix + "_1.fq", "-2", prefix + "_2.fq", "-o", sam,
+                       threads, "--ledger-out=" + ledger}),
+                  0);
+        std::ifstream in(ledger);
+        std::string line;
+        size_t records = 0, proper_records = 0;
+        while (std::getline(in, line)) {
+            ++records;
+            ASSERT_NE(line.find("\"paired\":true"), std::string::npos)
+                << threads << ": " << line;
+            proper_records += line.find("\"proper\":true") !=
+                std::string::npos;
+        }
+        EXPECT_EQ(records, n_reads) << threads;
+
+        std::ifstream sam_in(sam);
+        size_t proper_sam = 0;
+        while (std::getline(sam_in, line)) {
+            if (line.empty() || line[0] == '@')
+                continue;
+            const size_t tab = line.find('\t');
+            const int flag = std::stoi(line.substr(tab + 1));
+            proper_sam += (flag & kSamFlagProperPair) != 0;
+        }
+        EXPECT_GT(proper_sam, n_reads / 2) << threads;
+        EXPECT_EQ(proper_records, proper_sam) << threads;
+    }
+}
+
 } // namespace
 } // namespace seedex

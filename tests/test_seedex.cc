@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "align/dp.h"
+#include "aligner/extension.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
 #include "seedex/checks.h"
@@ -432,6 +433,93 @@ TEST(Filter, OutputInvariantAcrossBands)
                 EXPECT_TRUE(gscoreEquivalent(r, first));
             }
         }
+    }
+}
+
+// ------------------------------------------- One-step engine vs full band
+
+/** Random pair: target from the reference alphabet, query a mutated copy
+ *  (0-12% errors, substitutions plus occasional 1-3 base indels), so the
+ *  fuzz covers clean accepts and full-band reruns alike. */
+struct FuzzCase
+{
+    Sequence query;
+    Sequence target;
+    int h0 = 0;
+};
+
+FuzzCase
+makeFuzzCase(Rng &rng)
+{
+    const int tlen = 60 + static_cast<int>(rng.pick(120));
+    std::vector<Base> tv;
+    tv.reserve(tlen);
+    for (int i = 0; i < tlen; ++i)
+        tv.push_back(static_cast<Base>(rng.pick(4)));
+
+    const uint64_t err_permille = rng.pick(120);
+    std::vector<Base> qv;
+    qv.reserve(tv.size());
+    for (size_t i = 0; i + 20 < tv.size(); ++i) {
+        const uint64_t roll = rng.pick(1000);
+        if (roll < err_permille) {
+            const uint64_t kind = rng.pick(10);
+            if (kind < 7) { // substitution
+                qv.push_back(static_cast<Base>(
+                    (static_cast<uint64_t>(tv[i]) + 1 + rng.pick(3)) %
+                    4));
+            } else if (kind < 9) { // deletion of 1-3 target bases
+                i += rng.pick(3);
+            } else { // insertion of 1-3 random bases
+                for (uint64_t k = 0; k <= rng.pick(3); ++k)
+                    qv.push_back(static_cast<Base>(rng.pick(4)));
+                qv.push_back(tv[i]);
+            }
+        } else {
+            qv.push_back(tv[i]);
+        }
+    }
+    if (qv.empty())
+        qv.push_back(static_cast<Base>(rng.pick(4)));
+
+    FuzzCase c;
+    c.query = Sequence(std::move(qv));
+    c.target = Sequence(std::move(tv));
+    c.h0 = 10 + static_cast<int>(rng.pick(50));
+    return c;
+}
+
+/** The SeedEx engine's one speculative rung (capped at the estimate)
+ *  plus host rerun returns the estimated-full-band result on every
+ *  fuzzed pair, at the deployed band and at a narrow one. max_off is not
+ *  part of the contract: it reports the band the winning run used. */
+TEST(SeedExEngineDiff, MatchesFullBandFuzz)
+{
+    for (const int band : {41, 11}) {
+        SeedExConfig cfg;
+        cfg.band = band;
+        SeedExEngine engine(cfg);
+        Rng rng(20260809 + band);
+        const int kCases = 1500;
+        for (int i = 0; i < kCases; ++i) {
+            const FuzzCase c = makeFuzzCase(rng);
+            ExtendConfig full;
+            full.scoring = cfg.scoring;
+            full.band = estimateFullBand(static_cast<int>(c.query.size()),
+                                         cfg.scoring, cfg.end_bonus);
+            const ExtendResult want =
+                kswExtend(c.query, c.target, c.h0, full);
+            const ExtendResult got = engine.extend(c.query, c.target, c.h0);
+            ASSERT_EQ(got.score, want.score) << band << " @" << i;
+            ASSERT_EQ(got.qle, want.qle) << band << " @" << i;
+            ASSERT_EQ(got.tle, want.tle) << band << " @" << i;
+            ASSERT_TRUE(gscoreEquivalent(got, want)) << band << " @" << i;
+        }
+        // Exactly one verdict per extension, and both regimes covered.
+        const FilterStats &stats = engine.stats();
+        EXPECT_EQ(stats.total, static_cast<uint64_t>(kCases));
+        EXPECT_GT(stats.pass_s2 + stats.pass_checks, 0u) << band;
+        EXPECT_LT(stats.pass_s2 + stats.pass_checks, stats.total) << band;
     }
 }
 

@@ -323,9 +323,10 @@ kernelCallsAndVerdicts()
 TEST_F(ThreadedStress, KernelWorkEqualsSingleThreadedUnderFixedPolicy)
 {
     // One extension path: threaded workers run the Aligner's engine
-    // through extendChain, so under the fixed band policy they dispatch
-    // exactly the kernel calls and filter verdicts the single-threaded
-    // Aligner does on the same reads — no second pass per extension.
+    // through extendChain, so they dispatch exactly the kernel calls and
+    // filter verdicts the single-threaded Aligner does on the same reads
+    // — no second pass per extension. (The test name dates from when a
+    // second, adaptive band policy existed.)
     const auto reads = simulateReads(600, 421);
     PipelineConfig pcfg;
     pcfg.engine = EngineKind::SeedEx;
@@ -355,6 +356,79 @@ TEST_F(ThreadedStress, KernelWorkEqualsSingleThreadedUnderFixedPolicy)
     EXPECT_EQ(after_nt.first - after_1t.first, calls_1t);
     EXPECT_EQ(after_nt.second - after_1t.second, verdicts_1t);
     EXPECT_EQ(report.extensions, verdicts_1t);
+}
+
+namespace {
+struct SimWorkload
+{
+    Sequence reference;
+    std::vector<std::pair<std::string, Sequence>> reads;
+};
+
+SimWorkload
+simWorkload(uint64_t seed, size_t n_reads)
+{
+    SimWorkload w;
+    Rng rng(seed);
+    ReferenceParams rp;
+    rp.length = 80000;
+    w.reference = generateReference(rp, rng);
+    ReadSimParams sim = ReadSimParams::illumina();
+    sim.base_error_rate = 0.02;
+    ReadSimulator simulator(w.reference, sim);
+    for (size_t i = 0; i < n_reads; ++i) {
+        SimulatedRead r = simulator.simulate(rng, i);
+        w.reads.emplace_back(std::move(r.name), std::move(r.seq));
+    }
+    return w;
+}
+
+std::string
+renderAll(const std::vector<SamRecord> &records)
+{
+    std::string out;
+    for (const SamRecord &rec : records)
+        out += rec.render() + '\n';
+    return out;
+}
+} // namespace
+
+TEST(SeedExAligner, SamBitIdenticalToFullBand)
+{
+    // The Aligner's SeedEx engine emits the full-band oracle's bytes at
+    // the deployed band and at a narrow one, where many extensions fail
+    // the checks and rerun at full band.
+    const SimWorkload w = simWorkload(61, 400);
+    Aligner oracle(w.reference, PipelineConfig{}); // full-band engine
+    const std::string want = renderAll(oracle.alignBatch(w.reads));
+
+    for (const int band : {41, 13}) {
+        PipelineConfig seedex;
+        seedex.engine = EngineKind::SeedEx;
+        seedex.band = band;
+        Aligner aligner(w.reference, seedex);
+        EXPECT_EQ(renderAll(aligner.alignBatch(w.reads)), want)
+            << "band " << band;
+    }
+}
+
+TEST(ThreadedDeterminism, SeedExThreadCountNeverChangesBytes)
+{
+    // The SeedEx engine's bytes equal the full-band oracle's at 2 and 5
+    // workers, which draw totally different batch interleavings (and so
+    // accumulate different filter tallies).
+    const SimWorkload w = simWorkload(62, 600);
+    Aligner oracle(w.reference, PipelineConfig{}); // full-band engine
+    const std::string want = renderAll(oracle.alignBatch(w.reads));
+
+    for (const int workers : {2, 5}) {
+        ThreadedConfig cfg;
+        cfg.setTotalThreads(workers);
+        cfg.batch_size = 32;
+        cfg.pipeline.engine = EngineKind::SeedEx;
+        EXPECT_EQ(renderAll(alignThreaded(w.reference, w.reads, cfg)), want)
+            << workers << " workers";
+    }
 }
 
 // ---------------------------------------------------------- Environment

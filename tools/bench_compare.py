@@ -132,29 +132,6 @@ SPECS = {
             Metric("modeled_efficiency_8t", True, "ratio", noise=0.05),
         ],
     ),
-    "bench_band": BenchSpec(
-        "bench_band",
-        tables=[
-            TableSpec(
-                "cells",
-                keys=("error_pct", "read_len", "policy"),
-                metrics=[
-                    # DP cells the kernel actually swept: deterministic
-                    # for a fixed workload seed, so zero noise allowance
-                    # beyond --threshold.
-                    Metric("cells_per_read", False, "ratio"),
-                    Metric("reads_per_s", True, "time", TIME_NOISE),
-                    Metric("wall_seconds", False, "time", TIME_NOISE),
-                ],
-            ),
-        ],
-        headline=[
-            # fixed/adaptive cells-per-read: >1 means the adaptive
-            # policy is saving DP work at that operating point.
-            Metric("cells_ratio_2pct", True, "ratio"),
-            Metric("cells_ratio_low_error", True, "ratio"),
-        ],
-    ),
 }
 
 
@@ -352,36 +329,6 @@ def self_test():
     thr_wobble["cells"][0]["wall_seconds"] = 0.3 * 3.0
     regs, _ = compare_docs(thr_base, thr_wobble, 0.60, True, out=sink)
     assert not regs, "--ratios-only compared threading wall clock"
-
-    # Band-policy spec: growth in adaptive cells_per_read (the adaptive
-    # ladder spending more DP work) must trip the ratios-only gate, as
-    # must a collapse of the headline fixed/adaptive savings ratio.
-    band_base = {
-        "schema": SCHEMA,
-        "bench": "bench_band",
-        "cells": [
-            {"error_pct": 2.0, "read_len": 101, "policy": "fixed",
-             "cells_per_read": 2000.0, "reads_per_s": 50000.0,
-             "wall_seconds": 0.02},
-            {"error_pct": 2.0, "read_len": 101, "policy": "adaptive",
-             "cells_per_read": 1100.0, "reads_per_s": 60000.0,
-             "wall_seconds": 0.017},
-        ],
-        "cells_ratio_2pct": 1.8,
-        "cells_ratio_low_error": 2.0,
-    }
-    band_reg = json.loads(json.dumps(band_base))
-    band_reg["cells"][1]["cells_per_read"] = 1100.0 * 1.15
-    regs, _ = compare_docs(band_base, band_reg, 0.10, True, out=sink)
-    assert regs, "15% adaptive cells_per_read growth not detected"
-    band_head = json.loads(json.dumps(band_base))
-    band_head["cells_ratio_2pct"] = 1.8 * 0.80
-    regs, _ = compare_docs(band_base, band_head, 0.10, True, out=sink)
-    assert regs, "20% cells_ratio_2pct collapse not detected"
-    band_wobble = json.loads(json.dumps(band_base))
-    band_wobble["cells"][1]["reads_per_s"] = 60000.0 * 0.5
-    regs, _ = compare_docs(band_base, band_wobble, 0.10, True, out=sink)
-    assert not regs, "--ratios-only compared band wall clock"
 
     print("bench_compare: self-test PASS")
     return 0
