@@ -197,6 +197,8 @@ struct Reference
     std::vector<SdxContig> sdx_contigs;
     Sequence seq;
     std::unique_ptr<FmdIndex> index; ///< null until built/loaded
+    bool from_sdx = false;
+    SdxLoadStats load; ///< loadSdx phase split (zero for FASTA)
 };
 
 /** Stream a FASTA file into a Reference (no index yet). */
@@ -235,6 +237,8 @@ loadReference(const std::string &path)
         }
         ref.seq = std::move(data.reference);
         ref.index = std::move(data.index);
+        ref.from_sdx = true;
+        ref.load = data.load;
         return ref;
     }
     return loadFasta(path);
@@ -388,7 +392,10 @@ cmdAlign(int argc, char **argv)
         obs::Ledger::global().enable(static_cast<uint32_t>(ledger_sample));
     }
 
+    Stopwatch setup;
+    setup.start();
     Reference ref = loadReference(args.positional[0]);
+    setup.stop();
     pconfig.contigs = ref.contigs;
     tconfig.pipeline = pconfig;
 
@@ -547,6 +554,18 @@ cmdAlign(int argc, char **argv)
             w.kv("engine", args.get("--engine", "seedex"));
             w.kv("band", static_cast<int64_t>(pconfig.band));
             w.kv("threads", static_cast<uint64_t>(threads));
+        });
+        // Start-up before `run.wall_seconds` begins: reference load and,
+        // for an .sdx, its phases (they sum to at most total_s).
+        report.section("setup", [&](obs::JsonWriter &w) {
+            w.kv("reference", ref.from_sdx ? "sdx" : "fasta");
+            w.kv("total_s", setup.seconds());
+            w.kv("read_s", ref.load.read_s);
+            w.kv("checksum_s", ref.load.checksum_s);
+            w.kv("decode_s", ref.load.decode_s);
+            w.kv("index_s", ref.load.index_s);
+            w.kv("kmer_k", ref.load.kmer_k);
+            w.kv("kmer_table_bytes", ref.load.kmer_table_bytes);
         });
         report.section("threaded", [&](obs::JsonWriter &w) {
             w.kv("threads", static_cast<int64_t>(threads));

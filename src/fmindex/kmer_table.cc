@@ -55,14 +55,16 @@ int
 KmerTable::defaultK(uint64_t ref_len)
 {
     // Aim k ~ log4(reference) so expected interval sizes at depth k are
-    // O(1) and the table stays a fraction of the index footprint.
+    // O(1), capped at 8: the table is rebuilt on every load, and past
+    // k=8 the rebuild costs more start-up than the skipped forward
+    // steps save in seeding (DESIGN.md §9).
     int k = 0;
     uint64_t span = 1;
-    while (span < ref_len && k < 10) {
+    while (span < ref_len && k < 8) {
         span *= 4;
         ++k;
     }
-    return std::clamp(k, 4, 10);
+    return std::clamp(k, 4, 8);
 }
 
 } // namespace seedex

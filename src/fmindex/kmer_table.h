@@ -24,10 +24,13 @@ struct FmdInterval;
  * backward shrink pass, so they cannot be skipped over).
  *
  * Storage is sum over l=1..k of 4^l entries of 24 bytes. The default k
- * adapts to the genome so the table stays a fraction of the index
- * (examples: ~3 kbp test genome -> k=5, ~1 KiB; 10 Mbp -> k=10,
- * ~33 MiB). Production always builds the default-k table; only an
- * explicit FmdIndexOptions::kmer_k (tests, bench_seed) picks another.
+ * is ~log4 of the genome, clamped to [4, 8] (examples: ~3 kbp test
+ * genome -> k=6, 128 KiB; 1 Mbp and up -> k=8, 2 MiB). The table is
+ * derived data, rebuilt by every FmdIndex::load, so the cap keeps that
+ * rebuild to hundredths of a second; k=10 (33 MiB) cost a quarter
+ * second of start-up and saved less in seeding. Production always
+ * builds the default-k table; only an explicit FmdIndexOptions::kmer_k
+ * (tests, bench_seed) picks another.
  */
 class KmerTable
 {
@@ -65,7 +68,8 @@ class KmerTable
 
     size_t storageBytes() const;
 
-    /** Default k for a reference of length `ref_len` (clamped 4..10). */
+    /** Default k for a reference of length `ref_len`: ~log4(ref_len),
+     *  clamped to [4, 8]. */
     static int defaultK(uint64_t ref_len);
 
   private:

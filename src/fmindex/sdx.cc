@@ -1,11 +1,14 @@
 #include "fmindex/sdx.h"
 
+#include <array>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <streambuf>
 
 #include "util/crc32.h"
+#include "util/stopwatch.h"
 #include "util/table.h"
 
 namespace seedex {
@@ -63,6 +66,44 @@ struct Cursor
     }
 };
 
+/** One packed reference byte unpacked: its low-nibble and high-nibble
+ *  base codes, and whether both are valid codes (0..kBaseN). */
+struct UnpackedPair
+{
+    Base lo = 0;
+    Base hi = 0;
+    bool valid = false;
+};
+
+constexpr std::array<UnpackedPair, 256> kUnpackTable = [] {
+    std::array<UnpackedPair, 256> t{};
+    for (unsigned b = 0; b < 256; ++b)
+        t[b] = {static_cast<Base>(b & 0xF), static_cast<Base>(b >> 4),
+                (b & 0xF) <= kBaseN && (b >> 4) <= kBaseN};
+    return t;
+}();
+
+/** Unpack `len` nibble-packed codes (low nibble first) into `out`.
+ *  Returns false if any code is above kBaseN. */
+bool
+unpackReference(const uint8_t *packed, uint64_t len, Base *out)
+{
+    bool valid = true;
+    for (uint64_t i = 0; i < len / 2; ++i) {
+        const UnpackedPair &e = kUnpackTable[packed[i]];
+        out[2 * i] = e.lo;
+        out[2 * i + 1] = e.hi;
+        valid &= e.valid;
+    }
+    if (len & 1) {
+        // The trailing byte's high nibble is padding.
+        const UnpackedPair &e = kUnpackTable[packed[len / 2] & 0xF];
+        out[len - 1] = e.lo;
+        valid &= e.valid;
+    }
+    return valid;
+}
+
 /** Read-only streambuf over a memory range (for FmdIndex::load). */
 class MemBuf : public std::streambuf
 {
@@ -118,33 +159,50 @@ saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
 SdxData
 loadSdx(const std::string &path)
 {
+    SdxData data;
+    Stopwatch phase;
+    phase.start();
+
+    // One sized read: the buffer is allocated once from the file size
+    // and filled without zeroing or regrowth.
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw SdxError(path + ": cannot open index file");
-    std::string blob((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::error_code ec;
+    const uintmax_t file_size = std::filesystem::file_size(path, ec);
+    if (ec)
+        throw SdxError(path + ": read failed");
+    const size_t size = static_cast<size_t>(file_size);
+    if (size < kSdxMinBytes)
+        failCorrupt(path, "truncated index file");
+    const std::unique_ptr<char[]> buf =
+        std::make_unique_for_overwrite<char[]>(size);
+    in.read(buf.get(), static_cast<std::streamsize>(size));
     if (in.bad())
         throw SdxError(path + ": read failed");
-    if (blob.size() < kSdxMinBytes)
+    if (static_cast<size_t>(in.gcount()) != size)
         failCorrupt(path, "truncated index file");
-    if (std::memcmp(blob.data(), kSdxMagic, sizeof(kSdxMagic)) != 0)
+    const char *blob = buf.get();
+    data.load.read_s = phase.lap();
+
+    if (std::memcmp(blob, kSdxMagic, sizeof(kSdxMagic)) != 0)
         throw SdxError(path +
                        ": not a seedex index (bad magic); build one "
                        "with `seedex index`");
 
     // Verify the footer before trusting any field past the magic.
     uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, blob.data() + blob.size() - 4, 4);
-    const uint32_t computed = crc32(blob.data(), blob.size() - 4);
+    std::memcpy(&stored_crc, blob + size - 4, 4);
+    const uint32_t computed = crc32(blob, size - 4);
     if (stored_crc != computed)
         failCorrupt(path,
                     strprintf("corrupt index (checksum mismatch: stored "
                               "%08x, computed %08x)",
                               stored_crc, computed));
+    data.load.checksum_s = phase.lap();
 
-    Cursor cur{blob.data() + sizeof(kSdxMagic),
-               blob.size() - sizeof(kSdxMagic) - 4, path};
-    SdxData data;
+    Cursor cur{blob + sizeof(kSdxMagic), size - sizeof(kSdxMagic) - 4,
+               path};
     data.version = cur.pod<uint32_t>();
     if (data.version != kSdxVersion)
         throw SdxError(strprintf(
@@ -175,16 +233,13 @@ loadSdx(const std::string &path)
     if (packed_bytes > cur.left)
         failCorrupt(path, "corrupt index (reference overruns payload)");
     std::vector<Base> bases(ref_len);
-    for (uint64_t i = 0; i < ref_len; ++i) {
-        const Base b = static_cast<Base>(
-            (static_cast<uint8_t>(cur.p[i / 2]) >> ((i & 1) * 4)) & 0xF);
-        if (b > kBaseN)
-            failCorrupt(path, "corrupt index (invalid base code)");
-        bases[i] = b;
-    }
+    if (!unpackReference(reinterpret_cast<const uint8_t *>(cur.p),
+                         ref_len, bases.data()))
+        failCorrupt(path, "corrupt index (invalid base code)");
     cur.p += packed_bytes;
     cur.left -= packed_bytes;
     data.reference = Sequence(std::move(bases));
+    data.load.decode_s = phase.lap();
 
     MemBuf idx_buf(cur.p, cur.left);
     std::istream idx_stream(&idx_buf);
@@ -194,6 +249,11 @@ loadSdx(const std::string &path)
     if (data.index->referenceLength() != ref_len)
         failCorrupt(path, "corrupt index (FM-index length does not match "
                           "the stored reference)");
+    data.load.index_s = phase.lap();
+    if (const KmerTable *table = data.index->kmerTable()) {
+        data.load.kmer_k = table->k();
+        data.load.kmer_table_bytes = table->storageBytes();
+    }
     return data;
 }
 

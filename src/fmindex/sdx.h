@@ -43,6 +43,23 @@ struct SdxContig
     uint64_t length = 0;
 };
 
+/** Where loadSdx spent its time (wall seconds per phase; the phases
+ *  run back to back, so they sum to the load's wall time). */
+struct SdxLoadStats
+{
+    /** Open, size query and the one read of the whole file. */
+    double read_s = 0;
+    /** CRC-32 of the file body against the footer. */
+    double checksum_s = 0;
+    /** Header fields and the nibble-packed reference. */
+    double decode_s = 0;
+    /** FmdIndex::load, derived data (occ ranks, k-mer table) included. */
+    double index_s = 0;
+    /** k of the rebuilt k-mer table (0 = none) and its footprint. */
+    int kmer_k = 0;
+    uint64_t kmer_table_bytes = 0;
+};
+
 /** A loaded `.sdx` container. */
 struct SdxData
 {
@@ -51,6 +68,7 @@ struct SdxData
     /** Concatenated reference (contigs in order, N preserved). */
     Sequence reference;
     std::unique_ptr<FmdIndex> index;
+    SdxLoadStats load;
 };
 
 /** Raised on any `.sdx` read/write failure, with a diagnostic that names
@@ -68,9 +86,13 @@ void saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
              const Sequence &reference, const FmdIndex &index);
 
 /**
- * Read and verify a container. The whole file is checksummed before any
- * field is trusted; the k-mer table is rebuilt at load from the genome
- * size, not stored. Throws SdxError on any failure.
+ * Read and verify a container. The file is read into one buffer sized
+ * from the file size, and the whole of it is checksummed (slice-by-8
+ * CRC-32) before any field is trusted. The reference is unpacked two
+ * bases per byte through a lookup table that also flags invalid codes.
+ * The k-mer table is rebuilt at load from the genome size (k <= 8, see
+ * KmerTable::defaultK), not stored. Records its phase times in
+ * SdxData::load. Throws SdxError on any failure.
  */
 SdxData loadSdx(const std::string &path);
 

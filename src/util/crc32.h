@@ -9,7 +9,9 @@ namespace seedex {
 /**
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the checksum guarding the
  * `.sdx` index container. Incremental: feed chunks through update() and
- * read value() at the end, or use crc32() for a one-shot buffer.
+ * read value() at the end, or use crc32() for a one-shot buffer. update()
+ * is slice-by-8 (eight bytes per step through eight lookup tables) with a
+ * bytewise tail, so any chunking yields the same value.
  */
 class Crc32
 {

@@ -249,7 +249,7 @@ repeatHeavySeeds(Rng &rng, int loci_per_strand, int seeds_per_locus)
             int qbeg = static_cast<int>(rng.pick(30));
             for (int k = 0; k < seeds_per_locus; ++k) {
                 seeds.push_back({qbeg, 19, rbeg, strand == 1,
-                                 static_cast<int>(rng.pick(40)) + 1});
+                                 rng.pick(40) + 1});
                 qbeg += 10 + static_cast<int>(rng.pick(15));
                 rbeg += 10 + rng.pick(15);
             }

@@ -1,5 +1,6 @@
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -21,6 +22,7 @@
 #include "genome/fastx_stream.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace seedex {
@@ -272,6 +274,47 @@ TEST(Sdx, TruncationAndBadMagicRejected)
     out.close();
     EXPECT_THROW(loadSdx(path), SdxError);
     EXPECT_FALSE(isSdxFile(path));
+}
+
+TEST(Sdx, InvalidBaseCodeRejectedPastTheChecksum)
+{
+    // Odd length: the last packed byte carries one base plus padding.
+    Rng rng(10);
+    ReferenceParams pa;
+    pa.length = 2001;
+    std::vector<Base> bases = generateReference(pa, rng).bases();
+    bases[2000] = kBaseN;
+    const Sequence ref(std::move(bases));
+    const FmdIndex index(ref);
+    const std::string path = tempPath("badbase.sdx");
+    saveSdx(path, {{"c", 2001}}, ref, index);
+    EXPECT_EQ(loadSdx(path).reference.bases(), ref.bases());
+
+    std::ifstream in(path, std::ios::binary);
+    std::string blob((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    // Packed reference starts after magic, version, contig count, one
+    // contig entry ("c") and the reference length: 8+4+4+(4+1+8)+8.
+    const size_t packed_at = 37;
+    for (const int nibble : {0, 4}) {
+        std::string bad = blob;
+        bad[packed_at + 100] = static_cast<char>(
+            (bad[packed_at + 100] & ~(0xF << nibble)) | (0xF << nibble));
+        const uint32_t crc = crc32(bad.data(), bad.size() - 4);
+        std::memcpy(bad.data() + bad.size() - 4, &crc, 4);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+        out.close();
+        try {
+            loadSdx(path);
+            FAIL() << "invalid code in nibble " << nibble << " accepted";
+        } catch (const SdxError &e) {
+            EXPECT_NE(std::string(e.what()).find("invalid base code"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---- CLI round trip -----------------------------------------------------

@@ -201,6 +201,33 @@ TEST_F(FmdFixture, StorageAccounted)
     EXPECT_GT(index_->storageBytes(), ref_.size());
 }
 
+// ------------------------------------------------------------- KmerTable
+
+TEST(KmerTable, DefaultKIsLog4OfTheGenomeClampedToFourToEight)
+{
+    // Benchmark-sized genomes (8 Mbp, 1 Mbp) and larger hit the cap.
+    EXPECT_EQ(KmerTable::defaultK(8u << 20), 8);
+    EXPECT_EQ(KmerTable::defaultK(1u << 20), 8);
+    EXPECT_EQ(KmerTable::defaultK(uint64_t{3} << 30), 8);
+    // Small genomes: the smallest k with 4^k >= length, at least 4.
+    EXPECT_EQ(KmerTable::defaultK(0), 4);
+    EXPECT_EQ(KmerTable::defaultK(256), 4);
+    EXPECT_EQ(KmerTable::defaultK(257), 5);
+    EXPECT_EQ(KmerTable::defaultK(3000), 6);
+    EXPECT_EQ(KmerTable::defaultK(16384), 7);
+    EXPECT_EQ(KmerTable::defaultK(16385), 8);
+}
+
+TEST_F(FmdFixture, KmerTableAtKEightIsTwoMebibytes)
+{
+    // sum_{l=1..8} 4^l = 87380 entries of 24 bytes, whatever the genome.
+    const KmerTable table(*index_, 8);
+    EXPECT_EQ(table.storageBytes(), 2097120u);
+    // The fixture's 3 kbp genome gets the k=6 default table.
+    ASSERT_NE(index_->kmerTable(), nullptr);
+    EXPECT_EQ(index_->kmerTable()->k(), 6);
+}
+
 // ------------------------------------------------------------------- SMEM
 
 class SmemFixture : public FmdFixture

@@ -269,10 +269,12 @@ TEST(Trace, SpansFromTwoThreadsRoundTripThroughParser)
     for (const JsonValue &ev : events->array) {
         tids.insert(static_cast<int>(ev.find("tid")->number));
         names.insert(ev.find("name")->string);
-        if (ev.find("ph")->string == "X")
+        if (ev.find("ph")->string == "X") {
             EXPECT_GE(ev.find("dur")->number, 0.0);
-        if (ev.find("ph")->string == "C")
+        }
+        if (ev.find("ph")->string == "C") {
             EXPECT_DOUBLE_EQ(ev.find("args")->find("value")->number, 3.0);
+        }
     }
     EXPECT_GE(tids.size(), 2u) << "expected spans from two threads";
     EXPECT_TRUE(names.count("main.work"));
@@ -373,8 +375,8 @@ TEST(PerfCounters, ScopeEitherCountsOrFallsBackCleanly)
     StageProfile &stage = PerfRegistry::global().stage("test.perf.live");
     {
         PerfScope scope(stage);
-        volatile int sink = 0;
-        for (int i = 0; i < 100000; ++i)
+        volatile unsigned sink = 0;
+        for (unsigned i = 0; i < 100000; ++i)
             sink = sink + i;
         (void)sink;
     }

@@ -164,14 +164,16 @@ TEST_F(PairedWall, PairFlagAndMateFieldReciprocity)
         // Mate-unmapped and mate-reverse mirror the partner's state.
         EXPECT_EQ(bool(a.flag & kSamFlagMateUnmapped), !b.mapped()) << i;
         EXPECT_EQ(bool(b.flag & kSamFlagMateUnmapped), !a.mapped()) << i;
-        if (b.mapped())
+        if (b.mapped()) {
             EXPECT_EQ(bool(a.flag & kSamFlagMateReverse),
                       bool(b.flag & kSamFlagReverse))
                 << i;
-        if (a.mapped())
+        }
+        if (a.mapped()) {
             EXPECT_EQ(bool(b.flag & kSamFlagMateReverse),
                       bool(a.flag & kSamFlagReverse))
                 << i;
+        }
         // Proper is symmetric and implies an FR same-contig pair.
         EXPECT_EQ(bool(a.flag & kSamFlagProperPair),
                   bool(b.flag & kSamFlagProperPair))

@@ -317,9 +317,10 @@ TEST_F(SeedingDifferential, SerializationRoundTripsBothLayouts)
                 continue;
             const FmdInterval want = index->match(p);
             EXPECT_EQ(loaded->match(p), want);
-            if (!want.empty())
+            if (!want.empty()) {
                 EXPECT_EQ(loaded->locate(want, 64, len),
                           index->locate(want, 64, len));
+            }
         }
         const Sequence read = sampleRead(rng, ref_, 101);
         EXPECT_EQ(collectSmems(*loaded, read, 12),

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -87,6 +89,66 @@ TEST(Rng, ForkDecorrelates)
     for (int i = 0; i < 64; ++i)
         same += a.next() == child.next();
     EXPECT_LT(same, 2);
+}
+
+/** Bit-at-a-time reflected CRC-32: the definition the table-driven
+ *  implementation must reproduce. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t len)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t>
+randomBytes(uint64_t seed, size_t len)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> bytes(len);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32, CheckValueAndEmptyInput)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
+    Crc32 empty;
+    EXPECT_EQ(empty.value(), 0u);
+}
+
+TEST(Crc32, ChunkedUpdateMatchesOneShotAtEverySplit)
+{
+    const std::vector<uint8_t> buf = randomBytes(11, 1024);
+    const uint32_t whole = crc32(buf.data(), buf.size());
+    EXPECT_EQ(whole, crc32Bitwise(buf.data(), buf.size()));
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        Crc32 crc;
+        crc.update(buf.data(), split);
+        crc.update(buf.data() + split, buf.size() - split);
+        ASSERT_EQ(crc.value(), whole) << "split at " << split;
+    }
+}
+
+TEST(Crc32, WordWidePathMatchesBytewiseAtEveryOffset)
+{
+    // Lengths straddle the 8-byte word loop and its bytewise tail;
+    // offsets 0..7 put the words at every alignment.
+    const std::vector<uint8_t> buf = randomBytes(12, 64 + 8);
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 64; ++len) {
+            const uint8_t *p = buf.data() + offset;
+            ASSERT_EQ(crc32(p, len), crc32Bitwise(p, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
 }
 
 TEST(Histogram, CountsAndFractions)
@@ -189,7 +251,7 @@ TEST(Stopwatch, StartWhileRunningKeepsAccumulating)
     // Burn a measurable amount of time.
     volatile double sink = 0;
     for (int i = 0; i < 2000000; ++i)
-        sink += static_cast<double>(i);
+        sink = sink + static_cast<double>(i);
     const double before = w.seconds();
     ASSERT_GT(before, 0.0);
     w.start(); // no-op: already running
@@ -205,7 +267,7 @@ TEST(Stopwatch, LapFoldsIntervalsAndReturnsThem)
     EXPECT_EQ(w.lap(), 0.0);
     volatile double sink = 0;
     for (int i = 0; i < 1000000; ++i)
-        sink += static_cast<double>(i);
+        sink = sink + static_cast<double>(i);
     const double lap1 = w.lap();
     EXPECT_GT(lap1, 0.0);
     // The folded interval is part of the running total.

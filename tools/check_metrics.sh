@@ -10,7 +10,8 @@
 # reorder window, one batch-latency sample per batch), the run report's
 # `threading` section, and the BENCH_threads.json sweep; finally runs the
 # CLI paired-end path (simulate --paired with shredded rescue-bait
-# mates, threaded align -1/-2) and validates the `paired` report
+# mates, threaded align -1/-2) and validates the `setup` section (the
+# .sdx load phases sum to at most its total), the `paired` report
 # section, the seedex.paired.* instruments, the extension reconciliation
 # identity filter.verdict.total == aligner.extensions +
 # threaded.extensions + paired.rescue_extensions, and the pair fields on
@@ -412,6 +413,21 @@ assert counters["seedex.paired.rescues"] == paired["rescues"]
 run = report["run"]
 assert run["reads"] == 2 * paired["pairs"], (run["reads"], paired)
 
+# --- The `setup` section: .sdx load phases, measured back to back
+# inside the reference load, so they cannot exceed its total (5% slack
+# for clock granularity).
+setup = report["setup"]
+assert setup["reference"] == "sdx", setup
+phases = ("read_s", "checksum_s", "decode_s", "index_s")
+for key in ("total_s",) + phases:
+    assert isinstance(setup[key], (int, float)), (key, setup)
+    assert setup[key] >= 0, (key, setup)
+phase_sum = sum(setup[key] for key in phases)
+assert phase_sum <= setup["total_s"] * 1.05, (phase_sum, setup)
+# A 256 kbp reference gets the capped k=8 table: 87380 entries of 24 B.
+assert setup["kmer_k"] == 8, setup
+assert setup["kmer_table_bytes"] == 2097120, setup
+
 # --- Extension reconciliation: each verdict the filter issued came
 # from the single-threaded bootstrap chunk, a threaded worker, or a
 # mate-rescue extension — no extension escapes the funnel.
@@ -443,6 +459,9 @@ assert 0 < ledger_rescue_ext <= counters["seedex.paired.rescue_extensions"]
 for r in records:
     assert r["pair_rescued"] or r["rescue_extensions"] == 0, r
 
+print(f"ok: setup {setup['total_s']:.4f} s (read {setup['read_s']:.4f}, "
+      f"checksum {setup['checksum_s']:.4f}, decode {setup['decode_s']:.4f}, "
+      f"index {setup['index_s']:.4f}; k={setup['kmer_k']})")
 print(f"ok: pairs={paired['pairs']} proper={paired['proper']} "
       f"rescues={paired['rescues']} "
       f"(insert {paired['insert_mean']:.1f} "
